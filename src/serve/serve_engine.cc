@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <ostream>
 
 #include "common/json.hh"
@@ -25,6 +26,50 @@ makeValue(std::vector<std::uint8_t> &buf, const Request &req)
                    req.key ^ (0x5E12C0DEull + req.tenant))));
 }
 
+/**
+ * One apply task's latency tallies: plain per-tenant bucket counts
+ * that fold() adds to the shared histograms once, when the task
+ * ends, so a request writes no cache line another worker writes.
+ */
+class LatencyTally
+{
+  public:
+    explicit LatencyTally(
+        std::span<telemetry::Histogram *const> histograms)
+        : histograms_(histograms),
+          buckets_(histograms.empty() ? 0
+                                      : histograms[0]->numBuckets()),
+          counts_(histograms.size() * buckets_, 0),
+          sums_(histograms.size(), 0)
+    {
+    }
+
+    void
+    record(std::uint32_t tenant, std::uint64_t ns)
+    {
+        ++counts_[tenant * buckets_ +
+                  histograms_[tenant]->bucketOf(
+                      static_cast<double>(ns))];
+        sums_[tenant] += ns;
+    }
+
+    void
+    fold() const
+    {
+        for (std::size_t t = 0; t < histograms_.size(); ++t)
+            histograms_[t]->addCounts(
+                std::span<const std::uint64_t>(
+                    counts_.data() + t * buckets_, buckets_),
+                static_cast<double>(sums_[t]));
+    }
+
+  private:
+    std::span<telemetry::Histogram *const> histograms_;
+    std::size_t buckets_;
+    std::vector<std::uint64_t> counts_;
+    std::vector<std::uint64_t> sums_;
+};
+
 } // namespace
 
 const char *
@@ -42,14 +87,60 @@ policyName(char kind)
     }
 }
 
+std::vector<std::string>
+ServeConfig::validate() const
+{
+    std::vector<std::string> errors;
+    const auto need = [&errors](bool ok, const std::string &msg) {
+        if (!ok)
+            errors.push_back(msg);
+    };
+
+    need(!tenants.empty(), "at least one tenant is needed");
+    for (std::size_t t = 0; t < tenants.size(); ++t) {
+        const TenantSpec &spec = tenants[t];
+        const std::string who = "tenant " + std::to_string(t) + ": ";
+        need(spec.keys > 0, who + "keys must be positive");
+        need(std::isfinite(spec.zipf) && spec.zipf >= 0.0,
+             who + "zipf must be a finite number >= 0");
+        need(spec.getFrac >= 0.0 && spec.getFrac <= 1.0,
+             who + "get fraction must be in [0, 1]");
+        need(spec.vmin > 0 && spec.vmin <= spec.vmax,
+             who + "value sizes need 0 < vmin <= vmax");
+        need(std::isfinite(spec.weight) && spec.weight >= 0.0,
+             who + "weight must be a finite number >= 0");
+        need(spec.sloHit >= 0.0 && spec.sloHit <= 1.0,
+             who + "slo-hit must be in [0, 1]");
+        need(spec.floorFrac >= 0.0 && spec.floorFrac < 1.0,
+             who + "floor must be in [0, 1)");
+    }
+    need(threads >= 1 && threads <= kMaxThreads,
+         "threads must be in [1, " + std::to_string(kMaxThreads) + "]");
+    need(shards >= 1 && shards <= kMaxShards,
+         "shards must be in [1, " + std::to_string(kMaxShards) + "]");
+    need(streams >= 1 && batch >= 1 &&
+             static_cast<std::uint64_t>(streams) * batch <=
+                 kMaxRoundRequests,
+         "streams and batch must be positive with streams * batch "
+         "<= " + std::to_string(kMaxRoundRequests));
+    need(capacityBytes > 0, "capacity must be positive");
+    need(intervalMisses > 0, "interval must be positive");
+    need(policy == 'H' || policy == 'F' || policy == 'Q',
+         "policy must be H, F or Q");
+    need(opBudget > 0 ||
+             (std::isfinite(seconds) && seconds > 0.0 &&
+              seconds <= kMaxSeconds),
+         "seconds must be positive and at most " +
+             std::to_string(static_cast<std::uint64_t>(kMaxSeconds)) +
+             " when there is no op budget");
+    return errors;
+}
+
 ServeEngine::ServeEngine(const ServeConfig &config) : config_(config)
 {
-    fatalIf(config_.tenants.empty(), "ServeEngine: no tenants");
-    fatalIf(config_.streams == 0, "ServeEngine: no streams");
-    fatalIf(config_.batch == 0, "ServeEngine: empty batch");
-    fatalIf(config_.capacityBytes == 0, "ServeEngine: no capacity");
-    fatalIf(!makeTenantPolicy(config_.policy, {}),
-            "ServeEngine: unknown policy (use H, F or Q)");
+    if (const std::vector<std::string> errors = config_.validate();
+        !errors.empty())
+        fatal("ServeEngine: " + errors.front());
 }
 
 ServeResult
@@ -87,13 +178,13 @@ ServeEngine::run()
     result.metrics = std::make_shared<telemetry::MetricsRegistry>();
 
     // Per-tenant latency histograms: ~0.5us to ~1s in nanoseconds.
-    std::vector<telemetry::Histogram *> latency(tenants, nullptr);
+    std::vector<telemetry::Histogram *> latency;
     if (config_.timing) {
         const std::vector<double> bounds =
             telemetry::Histogram::exponentialBounds(512.0, 2.0, 22);
         for (std::uint32_t t = 0; t < tenants; ++t)
-            latency[t] = &result.metrics->histogram(
-                "serve.latency_ns.t" + std::to_string(t), bounds);
+            latency.push_back(&result.metrics->histogram(
+                "serve.latency_ns.t" + std::to_string(t), bounds));
     }
 
     // Mean spec size stands in for the measured mean until the
@@ -308,10 +399,13 @@ ServeEngine::run()
             pool.submit([&store, &merged, &list, &latency,
                          timing = config_.timing] {
                 std::vector<std::uint8_t> buf;
+                LatencyTally tally(latency); // empty without timing
+                // One clock read per request: each completion time
+                // starts the next request's latency, and the first
+                // request is timed from task start.
+                auto last = timing ? Clock::now() : Clock::time_point();
                 for (const std::uint32_t idx : list) {
                     const Request &req = merged[idx];
-                    const auto t0 =
-                        timing ? Clock::now() : Clock::time_point();
                     if (req.isPut) {
                         makeValue(buf, req);
                         store.put(req.tenant, req.key, buf);
@@ -322,13 +416,17 @@ ServeEngine::run()
                         makeValue(buf, req);
                         store.put(req.tenant, req.key, buf);
                     }
-                    if (timing)
-                        latency[req.tenant]->observe(
-                            static_cast<double>(
-                                std::chrono::nanoseconds(
-                                    Clock::now() - t0)
+                    if (timing) {
+                        const auto now = Clock::now();
+                        tally.record(
+                            req.tenant,
+                            static_cast<std::uint64_t>(
+                                std::chrono::nanoseconds(now - last)
                                     .count()));
+                        last = now;
+                    }
                 }
+                tally.fold();
             });
         }
         pool.wait();
@@ -336,7 +434,10 @@ ServeEngine::run()
         ++result.rounds;
 
         // --- (4) sequential capacity eviction ----------------------
-        while (store.totalBytes() > config_.capacityBytes) {
+        // The pass is the only writer now, so it tracks occupancy
+        // itself rather than re-summing the shards per eviction.
+        std::uint64_t resident = store.totalBytes();
+        while (resident > config_.capacityBytes) {
             std::uint32_t victim = arbiter.sampleVictimTenant();
             std::uint64_t freed = store.evictOneFrom(victim);
             if (freed == 0) {
@@ -353,6 +454,7 @@ ServeEngine::run()
                 if (freed == 0)
                     break; // nothing anywhere to evict
             }
+            resident -= freed;
             ++result.evictions;
             ++interval_evictions[victim];
             ++result.tenants[victim].evictions;

@@ -33,6 +33,7 @@
 #include <iosfwd>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "serve/load_gen.hh"
@@ -95,6 +96,22 @@ struct ServeConfig
      * Non-owning; null = never stops early.
      */
     const std::atomic<bool> *stopFlag = nullptr;
+
+    /** Largest accepted thread and shard counts. */
+    static constexpr std::uint32_t kMaxThreads = 1024;
+    static constexpr std::uint32_t kMaxShards = 4096;
+    /** Largest accepted streams * batch (one round's requests). */
+    static constexpr std::uint64_t kMaxRoundRequests = 1ull << 22;
+    /** Longest accepted wall-clock run, in seconds. */
+    static constexpr double kMaxSeconds = 1e6;
+
+    /**
+     * Check the configuration before anything is built. Returns one
+     * message per problem found (empty means valid); the engine
+     * refuses an invalid configuration, and prism_serve reports the
+     * list as a usage error.
+     */
+    std::vector<std::string> validate() const;
 };
 
 /** Final per-tenant totals. */

@@ -19,38 +19,13 @@ ceilPow2(std::uint64_t v)
 
 } // namespace
 
-void
-ShardedStore::GhostList::push(std::uint64_t key,
-                              std::uint32_t capacity)
-{
-    if (capacity == 0 || contains(key))
-        return;
-    if (ring.size() < capacity) {
-        ring.push_back(key);
-        ++size;
-    } else {
-        members.erase(ring[head]);
-        ring[head] = key;
-        head = (head + 1) % capacity;
-    }
-    members.insert(key);
-}
-
-void
-ShardedStore::GhostList::erase(std::uint64_t key)
-{
-    if (members.erase(key) == 0)
-        return;
-    // The ring slot keeps the stale key; membership is what the
-    // shadow-hit check consults, and the slot ages out FIFO anyway.
-}
-
 ShardedStore::ShardedStore(const StoreConfig &config)
     : capacity_bytes_(config.capacityBytes),
       tenants_(config.tenants),
       ghost_per_tenant_(config.ghostPerTenant)
 {
     fatalIf(tenants_ == 0, "ShardedStore: no tenants");
+    fatalIf(config.shards > (1u << 31), "ShardedStore: too many shards");
     const auto num_shards = static_cast<std::uint32_t>(
         ceilPow2(std::max<std::uint32_t>(1, config.shards)));
     shard_shift_ =
@@ -65,24 +40,7 @@ ShardedStore::ShardedStore(const StoreConfig &config)
         ceilPow2(std::max<std::uint32_t>(16, config.initialSlots)));
     for (Shard &shard : shards_) {
         shard.slots.resize(slots);
-        shard.lruHead.assign(tenants_, kNil);
-        shard.lruTail.assign(tenants_, kNil);
-        shard.bytes.assign(tenants_, 0);
-        shard.ghost.resize(tenants_);
-    }
-
-    tenant_bytes_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(tenants_);
-    hits_ = std::make_unique<std::atomic<std::uint64_t>[]>(tenants_);
-    misses_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(tenants_);
-    shadow_hits_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(tenants_);
-    for (std::uint32_t t = 0; t < tenants_; ++t) {
-        tenant_bytes_[t] = 0;
-        hits_[t] = 0;
-        misses_[t] = 0;
-        shadow_hits_[t] = 0;
+        shard.tenant = std::make_unique<TenantState[]>(tenants_);
     }
     evict_cursor_.assign(tenants_, 0);
 }
@@ -113,11 +71,11 @@ ShardedStore::unlink(Shard &shard, std::uint32_t idx)
     if (slot.prev != kNil)
         shard.slots[slot.prev].next = slot.next;
     else
-        shard.lruHead[t] = slot.next;
+        shard.tenant[t].lruHead = slot.next;
     if (slot.next != kNil)
         shard.slots[slot.next].prev = slot.prev;
     else
-        shard.lruTail[t] = slot.prev;
+        shard.tenant[t].lruTail = slot.prev;
     slot.prev = slot.next = kNil;
 }
 
@@ -125,14 +83,14 @@ void
 ShardedStore::linkFront(Shard &shard, std::uint32_t idx)
 {
     Slot &slot = shard.slots[idx];
-    const std::uint32_t t = slot.tenant;
+    TenantState &ts = shard.tenant[slot.tenant];
     slot.prev = kNil;
-    slot.next = shard.lruHead[t];
+    slot.next = ts.lruHead;
     if (slot.next != kNil)
         shard.slots[slot.next].prev = idx;
     else
-        shard.lruTail[t] = idx;
-    shard.lruHead[t] = idx;
+        ts.lruTail = idx;
+    ts.lruHead = idx;
 }
 
 void
@@ -142,19 +100,20 @@ ShardedStore::growShard(Shard &shard)
     // purges tombstones (deletes can dominate growth).
     const std::size_t old_size = shard.slots.size();
     const std::size_t new_size =
-        shard.used * 2 >= old_size ? old_size * 2 : old_size;
+        shard.used.get() * 2 >= old_size ? old_size * 2 : old_size;
 
     // Per-tenant MRU->LRU orders survive the move by reinsertion in
     // order: walk each old chain head to tail, move the slot into
     // the new table, and append to the rebuilt chain's tail.
     std::vector<Slot> old_slots(new_size);
     old_slots.swap(shard.slots);
-    shard.filled = shard.used;
+    shard.filled = shard.used.get();
 
     const std::size_t mask = new_size - 1;
     for (std::uint32_t t = 0; t < tenants_; ++t) {
-        std::uint32_t old_idx = shard.lruHead[t];
-        shard.lruHead[t] = shard.lruTail[t] = kNil;
+        TenantState &ts = shard.tenant[t];
+        std::uint32_t old_idx = ts.lruHead;
+        ts.lruHead = ts.lruTail = kNil;
         while (old_idx != kNil) {
             Slot &old_slot = old_slots[old_idx];
             const std::uint32_t next_old = old_slot.next;
@@ -168,19 +127,19 @@ ShardedStore::growShard(Shard &shard)
             dst.tenant = old_slot.tenant;
             dst.state = SlotState::Full;
             dst.value = std::move(old_slot.value);
-            dst.prev = shard.lruTail[t];
+            dst.prev = ts.lruTail;
             dst.next = kNil;
             const auto new_idx = static_cast<std::uint32_t>(i);
             if (dst.prev != kNil)
                 shard.slots[dst.prev].next = new_idx;
             else
-                shard.lruHead[t] = new_idx;
-            shard.lruTail[t] = new_idx;
+                ts.lruHead = new_idx;
+            ts.lruTail = new_idx;
 
             old_idx = next_old;
         }
     }
-    rehashes_.fetch_add(1, std::memory_order_relaxed);
+    shard.rehashes.add(1);
 }
 
 void
@@ -217,11 +176,8 @@ ShardedStore::insertLocked(Shard &shard, std::uint32_t tenant,
             const auto new_bytes =
                 static_cast<std::uint64_t>(value.size());
             slot.value.assign(value.begin(), value.end());
-            shard.bytes[tenant] += new_bytes - old_bytes;
-            tenant_bytes_[tenant].fetch_add(
-                new_bytes - old_bytes, std::memory_order_relaxed);
-            total_bytes_.fetch_add(new_bytes - old_bytes,
-                                   std::memory_order_relaxed);
+            shard.tenant[tenant].bytes.add(new_bytes - old_bytes);
+            shard.bytes.add(new_bytes - old_bytes);
             unlink(shard, static_cast<std::uint32_t>(i));
             linkFront(shard, static_cast<std::uint32_t>(i));
             return;
@@ -232,19 +188,18 @@ ShardedStore::insertLocked(Shard &shard, std::uint32_t tenant,
     slot.key = key;
     slot.tenant = tenant;
     slot.state = SlotState::Full;
+    // A tombstone's buffer is reused when it is large enough.
     slot.value.assign(value.begin(), value.end());
-    ++shard.used;
+    shard.used.add(1);
     linkFront(shard, static_cast<std::uint32_t>(target));
 
     const auto bytes = static_cast<std::uint64_t>(value.size());
-    shard.bytes[tenant] += bytes;
-    tenant_bytes_[tenant].fetch_add(bytes,
-                                    std::memory_order_relaxed);
-    total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    objects_.fetch_add(1, std::memory_order_relaxed);
+    TenantState &ts = shard.tenant[tenant];
+    ts.bytes.add(bytes);
+    shard.bytes.add(bytes);
 
     // A key coming back to life stops being a ghost.
-    shard.ghost[tenant].erase(key);
+    ts.ghost.erase(key);
 }
 
 ShardedStore::GetResult
@@ -257,27 +212,21 @@ ShardedStore::get(std::uint32_t tenant, std::uint64_t key,
                            (shards_.size() - 1)];
 
     GetResult result;
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        const std::uint32_t idx = findSlot(shard, tenant, key, hash);
-        if (idx != kNil) {
-            result.hit = true;
-            unlink(shard, idx);
-            linkFront(shard, idx);
-            if (value_out)
-                *value_out = shard.slots[idx].value;
-        } else {
-            result.shadowHit = shard.ghost[tenant].contains(key);
-        }
-    }
-
-    if (result.hit) {
-        hits_[tenant].fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    TenantState &ts = shard.tenant[tenant];
+    const std::uint32_t idx = findSlot(shard, tenant, key, hash);
+    if (idx != kNil) {
+        result.hit = true;
+        ts.hits.add(1);
+        unlink(shard, idx);
+        linkFront(shard, idx);
+        if (value_out)
+            *value_out = shard.slots[idx].value;
     } else {
-        misses_[tenant].fetch_add(1, std::memory_order_relaxed);
+        ts.misses.add(1);
+        result.shadowHit = ts.ghost.contains(key);
         if (result.shadowHit)
-            shadow_hits_[tenant].fetch_add(
-                1, std::memory_order_relaxed);
+            ts.shadowHits.add(1);
     }
     return result;
 }
@@ -307,7 +256,8 @@ ShardedStore::evictOneFrom(std::uint32_t tenant)
         const std::uint32_t next_cursor = static_cast<std::uint32_t>(
             (cursor + 1) & (num_shards - 1));
         std::lock_guard<std::mutex> lock(shard.mutex);
-        const std::uint32_t tail = shard.lruTail[tenant];
+        TenantState &ts = shard.tenant[tenant];
+        const std::uint32_t tail = ts.lruTail;
         if (tail == kNil) {
             cursor = next_cursor;
             continue;
@@ -317,17 +267,13 @@ ShardedStore::evictOneFrom(std::uint32_t tenant)
         const auto bytes =
             static_cast<std::uint64_t>(slot.value.size());
         unlink(shard, tail);
-        shard.ghost[tenant].push(slot.key, ghost_per_tenant_);
+        ts.ghost.push(slot.key, ghost_per_tenant_);
         slot.state = SlotState::Tombstone;
-        slot.value.clear();
-        slot.value.shrink_to_fit();
-        --shard.used;
+        slot.value.clear(); // the buffer stays for the slot's reuse
+        shard.used.sub(1);
 
-        shard.bytes[tenant] -= bytes;
-        tenant_bytes_[tenant].fetch_sub(bytes,
-                                        std::memory_order_relaxed);
-        total_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-        objects_.fetch_sub(1, std::memory_order_relaxed);
+        ts.bytes.sub(bytes);
+        shard.bytes.sub(bytes);
 
         // Advance so successive evictions spread over shards instead
         // of draining one shard's list end to end.

@@ -6,24 +6,38 @@
  * an open-addressing hash table (linear probing, tombstones,
  * power-of-two slots) whose slots double as nodes of per-tenant
  * intrusive LRU lists, so recency is tracked per tenant per shard
- * with zero extra allocation. Byte-level accounting — per-shard
- * per-tenant exact counters plus store-wide relaxed atomics — gives
- * the arbiter the occupancy view Equation 1 needs without stopping
- * the world.
+ * with zero extra allocation. Byte-level and access accounting is
+ * kept per shard, per tenant, next to the state it counts: every
+ * counter is written only under the shard lock its operation already
+ * holds, so a get or put writes no cache line another shard's worker
+ * writes, and the store-wide accessors sum over the shards.
  *
  * Each shard additionally keeps a per-tenant *ghost list* (a bounded
- * FIFO of recently evicted keys): a miss whose key is still in the
- * ghost list is a "shadow hit" — a hit the tenant would have had
- * with more capacity — which is exactly the demand signal the
- * hit-maximising target policy feeds on (the serving analogue of the
- * paper's shadow tags).
+ * FIFO of recently evicted keys, serve/ghost_list.hh): a miss whose
+ * key is still in the ghost list is a "shadow hit" — a hit the
+ * tenant would have had with more capacity — which is exactly the
+ * demand signal the hit-maximising target policy feeds on (the
+ * serving analogue of the paper's shadow tags).
  *
  * Concurrency contract: get/put are thread-safe (per-shard mutex;
- * the TSan hammer test exercises this), occupancy reads are
- * lock-free, and evictOneFrom is called only from the engine's
- * sequential eviction pass. Determinism: identical operation
- * sequences per shard produce identical state at any thread count —
- * nothing in a shard depends on global order, only on its own.
+ * the TSan hammer test exercises this) and evictOneFrom is called
+ * only from the engine's sequential eviction pass. The aggregate
+ * readers (hits, misses, shadowHits, tenantBytes, totalBytes,
+ * objectCount, rehashes) take no lock and are safe to call at any
+ * time, but their sums are exact only while no get or put is in
+ * flight; the engine reads them only in its sequential sections.
+ * The latency the engine records around get/put (timing on) is
+ * completion to completion inside one shard task, the task's first
+ * request timed from task start: one clock read per request.
+ * Determinism: identical operation sequences per shard produce
+ * identical state at any thread count — nothing in a shard depends
+ * on global order, only on its own.
+ *
+ * Allocation: an eviction frees nothing. The evicted slot keeps its
+ * value buffer for the next object that lands in it, so buffers
+ * allocated on a worker are released on a worker (when a rehash
+ * drops the tombstones holding them), never by the eviction pass on
+ * the engine thread.
  */
 
 #ifndef PRISM_SERVE_SHARDED_STORE_HH
@@ -34,10 +48,10 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hh"
+#include "serve/ghost_list.hh"
 #include "serve/tenant_arbiter.hh"
 
 namespace prism::serve
@@ -106,19 +120,19 @@ class ShardedStore final : public TenantPlane
     }
     std::uint64_t capacityBytes() const { return capacity_bytes_; }
 
-    // --- TenantPlane ------------------------------------------------
+    // --- TenantPlane -----------------------------------------------
     std::uint32_t tenantCount() const override { return tenants_; }
     std::uint64_t tenantBytes(std::uint32_t tenant) const override
     {
-        return tenant_bytes_[tenant].load(std::memory_order_relaxed);
+        return sumTenant(&TenantState::bytes, tenant);
     }
     std::uint64_t totalBytes() const override
     {
-        return total_bytes_.load(std::memory_order_relaxed);
+        return sumShards(&Shard::bytes);
     }
     std::uint64_t objectCount() const override
     {
-        return objects_.load(std::memory_order_relaxed);
+        return sumShards(&Shard::used);
     }
     std::uint64_t evictOneFrom(std::uint32_t tenant) override;
 
@@ -135,21 +149,21 @@ class ShardedStore final : public TenantPlane
     // --- per-tenant access statistics (monotonic) -------------------
     std::uint64_t hits(std::uint32_t tenant) const
     {
-        return hits_[tenant].load(std::memory_order_relaxed);
+        return sumTenant(&TenantState::hits, tenant);
     }
     std::uint64_t misses(std::uint32_t tenant) const
     {
-        return misses_[tenant].load(std::memory_order_relaxed);
+        return sumTenant(&TenantState::misses, tenant);
     }
     std::uint64_t shadowHits(std::uint32_t tenant) const
     {
-        return shadow_hits_[tenant].load(std::memory_order_relaxed);
+        return sumTenant(&TenantState::shadowHits, tenant);
     }
 
     /** Hash-table growth/compaction events across all shards. */
     std::uint64_t rehashes() const
     {
-        return rehashes_.load(std::memory_order_relaxed);
+        return sumShards(&Shard::rehashes);
     }
 
   private:
@@ -168,34 +182,73 @@ class ShardedStore final : public TenantPlane
         std::vector<std::uint8_t> value;
     };
 
-    /** Bounded FIFO of evicted keys with O(1) membership. */
-    struct GhostList
+    /**
+     * A counter written only under its shard's lock and read without
+     * it. The lock orders the writers, so add() is a plain load and
+     * store rather than a locked read-modify-write.
+     */
+    class ShardCounter
     {
-        std::vector<std::uint64_t> ring;
-        std::uint32_t head = 0; ///< next overwrite position
-        std::uint32_t size = 0;
-        std::unordered_set<std::uint64_t> members;
-
-        void push(std::uint64_t key, std::uint32_t capacity);
-        bool contains(std::uint64_t key) const
+      public:
+        void
+        add(std::uint64_t delta)
         {
-            return members.count(key) != 0;
+            value_.store(value_.load(std::memory_order_relaxed) + delta,
+                         std::memory_order_relaxed);
         }
-        void erase(std::uint64_t key);
+        void sub(std::uint64_t delta) { add(0 - delta); }
+        std::uint64_t
+        get() const
+        {
+            return value_.load(std::memory_order_relaxed);
+        }
+
+      private:
+        std::atomic<std::uint64_t> value_{0};
     };
 
-    struct Shard
+    /** One tenant's state in one shard, on cache lines of its own. */
+    struct alignas(64) TenantState
+    {
+        std::uint32_t lruHead = kNil; ///< MRU end
+        std::uint32_t lruTail = kNil; ///< LRU end
+        ShardCounter hits;
+        ShardCounter misses;
+        ShardCounter shadowHits;
+        ShardCounter bytes;
+        GhostList ghost;
+    };
+
+    struct alignas(64) Shard
     {
         mutable std::mutex mutex;
         std::vector<Slot> slots; ///< power-of-two size
-        std::size_t used = 0;    ///< Full slots
+        ShardCounter used;       ///< Full slots
         std::size_t filled = 0;  ///< Full + Tombstone slots
-        // Per-tenant state, indexed by tenant id.
-        std::vector<std::uint32_t> lruHead; ///< MRU end
-        std::vector<std::uint32_t> lruTail; ///< LRU end
-        std::vector<std::uint64_t> bytes;
-        std::vector<GhostList> ghost;
+        ShardCounter bytes;      ///< all tenants
+        ShardCounter rehashes;
+        /** Per-tenant state, indexed by tenant id. */
+        std::unique_ptr<TenantState[]> tenant;
     };
+
+    std::uint64_t
+    sumShards(ShardCounter Shard::*counter) const
+    {
+        std::uint64_t total = 0;
+        for (const Shard &shard : shards_)
+            total += (shard.*counter).get();
+        return total;
+    }
+
+    std::uint64_t
+    sumTenant(ShardCounter TenantState::*counter,
+              std::uint32_t tenant) const
+    {
+        std::uint64_t total = 0;
+        for (const Shard &shard : shards_)
+            total += (shard.tenant[tenant].*counter).get();
+        return total;
+    }
 
     static std::uint64_t
     slotHash(std::uint32_t tenant, std::uint64_t key)
@@ -222,17 +275,6 @@ class ShardedStore final : public TenantPlane
     std::uint32_t shard_shift_; ///< 64 - log2(shards)
 
     std::vector<Shard> shards_;
-
-    // Store-wide accounting (relaxed; exact because every update
-    // happens under some shard lock and readers tolerate staleness
-    // of in-flight operations).
-    std::unique_ptr<std::atomic<std::uint64_t>[]> tenant_bytes_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> hits_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> misses_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> shadow_hits_;
-    std::atomic<std::uint64_t> total_bytes_{0};
-    std::atomic<std::uint64_t> objects_{0};
-    std::atomic<std::uint64_t> rehashes_{0};
 
     /** Per-tenant round-robin shard cursor for evictOneFrom (only
      *  touched by the sequential eviction pass). */

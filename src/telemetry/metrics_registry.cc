@@ -14,19 +14,37 @@ Histogram::Histogram(std::span<const double> bounds)
                 "Histogram: bounds must be strictly ascending");
 }
 
+std::size_t
+Histogram::bucketOf(double v) const
+{
+    for (std::size_t i = 0; i < bounds_.size(); ++i)
+        if (v <= bounds_[i])
+            return i;
+    return bounds_.size(); // overflow
+}
+
 void
 Histogram::observe(double v)
 {
-    std::size_t bucket = bounds_.size(); // overflow by default
-    for (std::size_t i = 0; i < bounds_.size(); ++i) {
-        if (v <= bounds_[i]) {
-            bucket = i;
-            break;
-        }
-    }
-    buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+    buckets_[bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
+}
+
+void
+Histogram::addCounts(std::span<const std::uint64_t> counts, double sum)
+{
+    panicIf(counts.size() != buckets_.size(),
+            "Histogram::addCounts: one count per bucket expected");
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        if (counts[i] == 0)
+            continue;
+        buckets_[i].fetch_add(counts[i], std::memory_order_relaxed);
+        total += counts[i];
+    }
+    count_.fetch_add(total, std::memory_order_relaxed);
+    sum_.fetch_add(sum, std::memory_order_relaxed);
 }
 
 double

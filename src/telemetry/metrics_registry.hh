@@ -82,6 +82,17 @@ class Histogram
 
     void observe(double v);
 
+    /** Index of the bucket @p v lands in (bounds().size() = overflow). */
+    std::size_t bucketOf(double v) const;
+
+    /**
+     * Fold in observations tallied elsewhere: @p counts[i] more in
+     * bucket i (numBuckets() entries) whose values sum to @p sum.
+     * Same bucket counts as observe() on each value, for one update
+     * of the shared counters instead of one per value.
+     */
+    void addCounts(std::span<const std::uint64_t> counts, double sum);
+
     const std::vector<double> &bounds() const { return bounds_; }
 
     /** Buckets including the overflow bucket. */

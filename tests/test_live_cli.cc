@@ -4,7 +4,9 @@
  * `prism_serve --metrics-out` snapshots must be byte-identical at 1
  * and 8 threads for a fixed op budget, `prism_top --once` must
  * render them, `prism_doctor` must autodetect the prism-metrics-v1
- * schema, and the flag-validation exits must hold.
+ * schema, and the flag-validation exits must hold (out-of-range
+ * prism_serve values are usage errors, never truncated or crashed
+ * on).
  */
 
 #include <gtest/gtest.h>
@@ -177,4 +179,25 @@ TEST(LiveCli, MetricsEveryWithoutAnOutputIsAUsageError)
     const auto [serve_code, serve_out] =
         run(serveBin() + " --ops 8192 --metrics-every 4");
     EXPECT_EQ(serve_code, 2) << serve_out;
+}
+
+TEST(LiveCli, OutOfRangeServeFlagsAreUsageErrors)
+{
+    // Each value was once truncated, wrapped or let through to crash
+    // mid-run. Every run is tiny, so a regressed check stays cheap:
+    // 4294967297 truncates to 1, and 3000000000 shards wrap to 0.
+    const char *const bad[] = {
+        "--shards 3000000000",      "--shards 4294967297",
+        "--streams 4294967297",     "--batch 4294967297",
+        "--threads 4294967297",     "--capacity-mb 17592186044416",
+        "--zipf nan",               "--zipf inf",
+        "--seconds nan",            "--seconds inf",
+        "--seconds 1e300",
+    };
+    for (const char *flags : bad) {
+        const auto [code, out] =
+            run(serveBin() + " --tenants 1 --keys 1000 --ops 4096 " +
+                "--no-timing --quiet " + flags);
+        EXPECT_EQ(code, 2) << flags << ": " << out;
+    }
 }

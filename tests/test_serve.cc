@@ -3,8 +3,9 @@
  * Unit tests for the serving plane (src/serve): the sharded object
  * store's hashing/LRU/ghost/accounting contracts, the Zipfian load
  * generator, tenant-spec parsing, the target policies and the
- * interval arbiter, plus the telemetry Histogram quantile accessor
- * the latency report depends on. The multithreaded hammer suite
+ * interval arbiter, the configuration check, plus the telemetry
+ * Histogram quantile accessor and bulk add the latency report
+ * depends on. The multithreaded hammer suite
  * doubles as the TSan data-race gate for the store (registered
  * separately under -DPRISM_TSAN=ON).
  */
@@ -14,12 +15,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hh"
 #include "plane/eq1.hh"
 #include "serve/load_gen.hh"
+#include "serve/serve_engine.hh"
 #include "serve/sharded_store.hh"
 #include "serve/tenant_arbiter.hh"
 #include "serve/zipf.hh"
@@ -367,6 +370,83 @@ TEST(HistogramQuantile, ExponentialBoundsBuildTheLatencyLadder)
     EXPECT_DOUBLE_EQ(bounds[0], 512.0);
     EXPECT_DOUBLE_EQ(bounds[3], 4096.0);
     EXPECT_TRUE(std::is_sorted(bounds.begin(), bounds.end()));
+}
+
+TEST(HistogramBulkAdd, MatchesObservingEachValue)
+{
+    const auto bounds =
+        telemetry::Histogram::exponentialBounds(512.0, 2.0, 22);
+    telemetry::Histogram observed(bounds);
+    telemetry::Histogram folded(bounds);
+
+    // Integer nanosecond latencies across every bucket, both edges
+    // of a bound, and the overflow bucket.
+    Rng rng(7);
+    std::vector<std::uint64_t> counts(folded.numBuckets(), 0);
+    std::uint64_t sum = 0;
+    for (int i = 0; i < 5000; ++i) {
+        const std::uint64_t ns =
+            i % 3 == 0 ? static_cast<std::uint64_t>(
+                             bounds[i % bounds.size()]) +
+                             (i % 2)
+                       : rng.below(std::uint64_t{1} << (10 + i % 24));
+        observed.observe(static_cast<double>(ns));
+        ++counts[folded.bucketOf(static_cast<double>(ns))];
+        sum += ns;
+    }
+    folded.addCounts(counts, static_cast<double>(sum));
+
+    ASSERT_EQ(folded.numBuckets(), observed.numBuckets());
+    EXPECT_GT(observed.bucketCount(observed.numBuckets() - 1), 0u)
+        << "the values must reach the overflow bucket";
+    for (std::size_t i = 0; i < folded.numBuckets(); ++i)
+        EXPECT_EQ(folded.bucketCount(i), observed.bucketCount(i))
+            << "bucket " << i;
+    EXPECT_EQ(folded.count(), observed.count());
+    EXPECT_DOUBLE_EQ(folded.sum(), observed.sum());
+    EXPECT_DOUBLE_EQ(folded.quantile(0.99), observed.quantile(0.99));
+}
+
+// --- ServeConfig::validate ----------------------------------------
+
+TEST(ServeConfigValidate, AcceptsTheDefaultsAndRejectsBadValues)
+{
+    ServeConfig good;
+    good.tenants.assign(2, TenantSpec{});
+    EXPECT_TRUE(good.validate().empty());
+
+    const auto rejects = [&good](auto mutate) {
+        ServeConfig c = good;
+        mutate(c);
+        return !c.validate().empty();
+    };
+    EXPECT_TRUE(rejects([](ServeConfig &c) { c.tenants.clear(); }));
+    EXPECT_TRUE(rejects([](ServeConfig &c) {
+        c.tenants[1].zipf = std::numeric_limits<double>::quiet_NaN();
+    }));
+    EXPECT_TRUE(rejects([](ServeConfig &c) {
+        c.tenants[0].vmin = c.tenants[0].vmax + 1;
+    }));
+    EXPECT_TRUE(rejects([](ServeConfig &c) { c.threads = 0; }));
+    EXPECT_TRUE(rejects([](ServeConfig &c) {
+        c.shards = ServeConfig::kMaxShards + 1;
+    }));
+    EXPECT_TRUE(rejects([](ServeConfig &c) { c.batch = 0; }));
+    EXPECT_TRUE(rejects([](ServeConfig &c) {
+        c.streams = 1u << 16;
+        c.batch = 1u << 16;
+    }));
+    EXPECT_TRUE(rejects([](ServeConfig &c) { c.capacityBytes = 0; }));
+    EXPECT_TRUE(rejects([](ServeConfig &c) { c.intervalMisses = 0; }));
+    EXPECT_TRUE(rejects([](ServeConfig &c) { c.policy = 'X'; }));
+    EXPECT_TRUE(rejects([](ServeConfig &c) {
+        c.seconds = std::numeric_limits<double>::quiet_NaN();
+    }));
+    // The wall-clock length is unused under an op budget.
+    EXPECT_FALSE(rejects([](ServeConfig &c) {
+        c.seconds = std::numeric_limits<double>::quiet_NaN();
+        c.opBudget = 1000;
+    }));
 }
 
 // --- Equation 1 fallback counter ----------------------------------

@@ -12,11 +12,24 @@
  *     over intervals predicts the per-tenant eviction totals to
  *     chi-square precision (the serving analogue of the simulator's
  *     Core-Selection validation).
+ *  3. With timing on, every request lands in its tenant's latency
+ *     histogram exactly once at any thread count (the per-task
+ *     tallies fold without loss or double counting).
+ *  4. The committed SERVE_fixture.json pins the document itself, so
+ *     a change to ghost-list membership or eviction order that shows
+ *     up identically at every thread count still fails. The fixture
+ *     is what `prism_serve` writes for the flags in its comment
+ *     below (tools/ci_gate.sh runs the same command and cmp's it).
+ *     Regenerate after an intentional behaviour change:
+ *       PRISM_UPDATE_GOLDEN=1 build/tests/test_serve_determinism \
+ *           --gtest_filter=ServeGolden.*
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,6 +62,27 @@ fixtureConfig()
     return config;
 }
 
+/**
+ * The golden session: `prism_serve --tenants 4 --keys 25000
+ * --capacity-mb 2 --shards 16 --interval 4096 --ops 800000
+ * --no-timing`. Every tenant's ghost lists wrap several times over
+ * and over a third of the misses are shadow hits.
+ */
+ServeConfig
+goldenConfig()
+{
+    ServeConfig config;
+    TenantSpec spec;
+    spec.keys = 25000;
+    config.tenants.assign(4, spec);
+    config.capacityBytes = 2ull << 20;
+    config.shards = 16;
+    config.intervalMisses = 4096;
+    config.opBudget = 800000;
+    config.timing = false;
+    return config;
+}
+
 std::string
 runToJson(ServeConfig config, std::uint32_t threads,
           ServeResult *result_out = nullptr)
@@ -77,6 +111,35 @@ TEST(ServeDeterminism, JsonIsByteIdenticalAcrossThreadCounts)
     EXPECT_EQ(t1, t8);
 }
 
+#ifndef PRISM_SERVE_GOLDEN_DEFAULT
+#define PRISM_SERVE_GOLDEN_DEFAULT "tests/golden/SERVE_fixture.json"
+#endif
+
+TEST(ServeGolden, MatchesCommittedFixtureAtEveryThreadCount)
+{
+    const char *path_env = std::getenv("PRISM_SERVE_GOLDEN");
+    const std::string path =
+        path_env ? path_env : PRISM_SERVE_GOLDEN_DEFAULT;
+    const ServeConfig config = goldenConfig();
+
+    if (std::getenv("PRISM_UPDATE_GOLDEN")) {
+        std::ofstream out(path, std::ios::binary);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << runToJson(config, 1);
+        GTEST_SKIP() << "regenerated " << path;
+    }
+
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << "missing golden document " << path
+                    << " (regenerate with PRISM_UPDATE_GOLDEN=1)";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    for (const std::uint32_t threads : {1u, 2u, 8u})
+        EXPECT_EQ(runToJson(config, threads), golden.str())
+            << "prism-serve-v1 drifted from the golden at " << threads
+            << " thread(s)";
+}
+
 TEST(ServeDeterminism, SeedChangesTheRun)
 {
     ServeConfig config = fixtureConfig();
@@ -84,6 +147,47 @@ TEST(ServeDeterminism, SeedChangesTheRun)
     config.seed = 2013;
     const std::string b = runToJson(config, 2);
     EXPECT_NE(a, b);
+}
+
+TEST(ServeLatency, EveryRequestIsTimedOnceAtEveryThreadCount)
+{
+    // Whole rounds only, so every stream fills a full batch a round
+    // and the per-tenant request counts can be drawn independently.
+    constexpr std::uint64_t kRounds = 12;
+    ServeConfig config = fixtureConfig();
+    config.opBudget = kRounds * config.streams * config.batch;
+    config.timing = true;
+
+    std::vector<std::uint64_t> requests(config.tenants.size(), 0);
+    LoadGen gen(config.tenants, config.streams, config.seed);
+    std::vector<Request> batch(config.batch);
+    for (std::uint64_t round = 0; round < kRounds; ++round)
+        for (std::uint32_t s = 0; s < config.streams; ++s) {
+            gen.fill(s, batch);
+            for (const Request &req : batch)
+                ++requests[req.tenant];
+        }
+
+    for (const std::uint32_t threads : {1u, 2u, 8u}) {
+        config.threads = threads;
+        ServeEngine engine(config);
+        const ServeResult result = engine.run();
+        ASSERT_NE(result.metrics, nullptr);
+        std::uint64_t timed = 0;
+        for (std::size_t t = 0; t < config.tenants.size(); ++t) {
+            const telemetry::Histogram &h = result.metrics->histogram(
+                "serve.latency_ns.t" + std::to_string(t), {});
+            EXPECT_EQ(h.count(), requests[t])
+                << "tenant " << t << " at " << threads << " thread(s)";
+            std::uint64_t in_buckets = 0;
+            for (std::size_t i = 0; i < h.numBuckets(); ++i)
+                in_buckets += h.bucketCount(i);
+            EXPECT_EQ(in_buckets, h.count());
+            EXPECT_GT(h.sum(), 0.0);
+            timed += h.count();
+        }
+        EXPECT_EQ(timed, result.ops) << threads << " thread(s)";
+    }
 }
 
 TEST(ServeVictimMatch, EvictionFrequenciesFollowEq1)

@@ -104,6 +104,17 @@ cmp "$serve_out/serve.json" "$serve_out/serve_t4.json" || {
     echo "serve gate: document differs across --threads" >&2
     exit 1
 }
+# Behaviour: the committed fixture session (its flags are pinned in
+# tests/test_serve_determinism.cc) must reproduce the golden byte for
+# byte, so a ghost-list or eviction-order change fails even when it
+# shows up the same way at every thread count.
+"$build/tools/prism_serve" --tenants 4 --keys 25000 \
+    --capacity-mb 2 --shards 16 --interval 4096 --ops 800000 \
+    --no-timing --quiet --threads 2 --json "$serve_out/fixture.json"
+cmp "$repo/tests/golden/SERVE_fixture.json" "$serve_out/fixture.json" || {
+    echo "serve gate: document differs from SERVE_fixture.json" >&2
+    exit 1
+}
 
 echo "== plane gate =="
 # The CachePlane substrate (DESIGN.md, "The CachePlane substrate"):

@@ -25,6 +25,7 @@
  * 2 usage or input error.
  */
 
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -61,10 +62,12 @@ usage(std::ostream &os)
         "  --keys N             base keyspace per tenant "
         "(default 300000)\n"
         "  --zipf S             base Zipf exponent (default 0.99)\n"
-        "  --threads N          worker threads (default 1)\n"
+        "  --threads N          worker threads (default 1, at most\n"
+        "                       1024)\n"
         "  --streams N          logical request streams "
         "(default 16)\n"
-        "  --shards N           store shards (default 64)\n"
+        "  --shards N           store shards (default 64, at most\n"
+        "                       4096)\n"
         "  --batch N            requests per stream per round "
         "(default 2048)\n"
         "  --capacity-mb N      store byte budget (default 64)\n"
@@ -119,12 +122,25 @@ parseU64Arg(const std::string &arg, const std::string &value)
     }
 }
 
+/** A count in [1, @p max], rejected rather than truncated. */
+std::uint32_t
+parseCountArg(const std::string &arg, const std::string &value,
+              std::uint32_t max)
+{
+    const std::uint64_t v = parseU64Arg(arg, value);
+    if (v == 0 || v > max)
+        cliError(arg + " must be in [1, " + std::to_string(max) + "]");
+    return static_cast<std::uint32_t>(v);
+}
+
+/** A finite number (NaN and infinities are rejected). */
 double
 parseDoubleArg(const std::string &arg, const std::string &value)
 {
     char *end = nullptr;
     const double v = std::strtod(value.c_str(), &end);
-    if (value.empty() || end != value.c_str() + value.size())
+    if (value.empty() || end != value.c_str() + value.size() ||
+        !std::isfinite(v))
         cliError("invalid value '" + value + "' for " + arg);
     return v;
 }
@@ -161,41 +177,28 @@ main(int argc, char **argv)
             tenant_specs.push_back(value());
         } else if (arg == "--keys") {
             base.keys = parseU64Arg(arg, value());
-            if (base.keys == 0)
-                cliError("--keys must be positive");
         } else if (arg == "--zipf") {
             base.zipf = parseDoubleArg(arg, value());
-            if (base.zipf < 0.0)
-                cliError("--zipf must be >= 0");
         } else if (arg == "--threads") {
-            config.threads = static_cast<std::uint32_t>(
-                parseU64Arg(arg, value()));
-            if (config.threads == 0)
-                cliError("--threads must be positive");
+            config.threads = parseCountArg(arg, value(),
+                                           ServeConfig::kMaxThreads);
         } else if (arg == "--streams") {
-            config.streams = static_cast<std::uint32_t>(
-                parseU64Arg(arg, value()));
-            if (config.streams == 0)
-                cliError("--streams must be positive");
+            config.streams =
+                parseCountArg(arg, value(), 0xFFFFFFFFu);
         } else if (arg == "--shards") {
-            config.shards = static_cast<std::uint32_t>(
-                parseU64Arg(arg, value()));
-            if (config.shards == 0)
-                cliError("--shards must be positive");
+            config.shards = parseCountArg(arg, value(),
+                                          ServeConfig::kMaxShards);
         } else if (arg == "--batch") {
-            config.batch = static_cast<std::uint32_t>(
-                parseU64Arg(arg, value()));
-            if (config.batch == 0)
-                cliError("--batch must be positive");
+            config.batch = parseCountArg(arg, value(), 0xFFFFFFFFu);
         } else if (arg == "--capacity-mb") {
             const std::uint64_t mb = parseU64Arg(arg, value());
-            if (mb == 0)
-                cliError("--capacity-mb must be positive");
+            if (mb == 0 || mb > (~std::uint64_t{0} >> 20))
+                cliError("--capacity-mb must be in [1, " +
+                         std::to_string(~std::uint64_t{0} >> 20) +
+                         "]");
             config.capacityBytes = mb << 20;
         } else if (arg == "--interval") {
             config.intervalMisses = parseU64Arg(arg, value());
-            if (config.intervalMisses == 0)
-                cliError("--interval must be positive");
         } else if (arg == "--policy") {
             const std::string v = value();
             if (v.size() != 1 ||
@@ -204,8 +207,11 @@ main(int argc, char **argv)
             config.policy = v[0];
         } else if (arg == "--seconds") {
             config.seconds = parseDoubleArg(arg, value());
-            if (config.seconds <= 0.0)
-                cliError("--seconds must be positive");
+            if (config.seconds <= 0.0 ||
+                config.seconds > ServeConfig::kMaxSeconds)
+                cliError("--seconds must be positive and at most " +
+                         std::to_string(static_cast<std::uint64_t>(
+                             ServeConfig::kMaxSeconds)));
         } else if (arg == "--ops") {
             config.opBudget = parseU64Arg(arg, value());
             if (config.opBudget == 0)
@@ -252,6 +258,14 @@ main(int argc, char **argv)
                 cliError("--tenant: " + st.message());
             config.tenants.push_back(spec);
         }
+    }
+
+    if (const std::vector<std::string> errors = config.validate();
+        !errors.empty()) {
+        std::string msg = "invalid configuration:";
+        for (const std::string &e : errors)
+            msg += "\n  " + e;
+        cliError(msg);
     }
 
     if (live.metricsEvery > 0 && live.metricsJsonPath.empty() &&
