@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fixed_point.hh"
 #include "fault/fault_injector.hh"
 
 namespace prism::analysis
@@ -124,10 +125,17 @@ parseRunSpec(std::string_view text, RunSpec &out)
             if (!(st = value(v)).ok() ||
                 !(st = parseU64(flag, v, bits)).ok())
                 return st;
+            if (bits > FixedPointCodec::kMaxBits)
+                return Status::error(
+                    "--bits must be 0 (float) or 1-" +
+                    std::to_string(FixedPointCodec::kMaxBits));
         } else if (flag == "--qos-frac") {
             if (!(st = value(v)).ok() ||
                 !(st = parseDouble(flag, v, qos_frac)).ok())
                 return st;
+            if (!(qos_frac >= 0.0 && qos_frac <= 1.0))
+                return Status::error(
+                    "--qos-frac must be a fraction in [0, 1]");
         } else if (flag == "--faults") {
             if (!(st = value(out.options.faultSpec)).ok())
                 return st;

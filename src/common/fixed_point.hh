@@ -29,11 +29,13 @@ namespace prism
 class FixedPointCodec
 {
   public:
-    /** @param bits Number of bits K; must be in [1, 31]. */
+    /** Widest accepted K: the codes are 32-bit. */
+    static constexpr unsigned kMaxBits = 31;
+
+    /** @param bits Number of bits K; must be in [1, kMaxBits]. */
     explicit FixedPointCodec(unsigned bits)
-        : bits_(bits), scale_((1u << bits) - 1u)
+        : bits_(bits), scale_(scaleFor(bits))
     {
-        fatalIf(bits < 1 || bits > 31, "FixedPointCodec: bits out of range");
     }
 
     unsigned bits() const { return bits_; }
@@ -95,6 +97,15 @@ class FixedPointCodec
     }
 
   private:
+    /** 2^bits - 1, with the range checked before the shift. */
+    static std::uint32_t
+    scaleFor(unsigned bits)
+    {
+        fatalIf(bits < 1 || bits > kMaxBits,
+                "FixedPointCodec: bits out of range");
+        return (1u << bits) - 1u;
+    }
+
     unsigned bits_;
     std::uint32_t scale_;
 };

@@ -27,7 +27,7 @@
 
 #include "common/rng.hh"
 #include "common/status.hh"
-#include "serve/zipf.hh"
+#include "common/zipf.hh"
 
 namespace prism::serve
 {
@@ -99,7 +99,7 @@ class LoadGen
 
   private:
     std::vector<TenantSpec> specs_;
-    std::vector<ZipfGenerator> zipf_; ///< per tenant, immutable
+    std::vector<prism::ZipfGenerator> zipf_; ///< per tenant, immutable
     std::vector<Rng> rngs_;           ///< per stream
     std::uint64_t value_salt_;
 };

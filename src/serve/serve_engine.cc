@@ -195,16 +195,17 @@ ServeEngine::run()
     spec_mean_bytes =
         std::max<std::uint64_t>(1, spec_mean_bytes / tenants);
 
-    // Round-pipeline scratch, reused every round.
+    // Round-pipeline scratch, reused every round. route[s][i] is the
+    // shard per_stream[s][i] goes to, written by the fill task.
     const std::uint32_t streams = config_.streams;
     std::vector<std::vector<Request>> per_stream(streams);
-    for (auto &batch : per_stream)
-        batch.resize(config_.batch);
+    std::vector<std::vector<std::uint32_t>> route(streams);
+    for (std::uint32_t s = 0; s < streams; ++s) {
+        per_stream[s].resize(config_.batch);
+        route[s].resize(config_.batch);
+    }
     std::vector<std::uint32_t> stream_fill(streams, 0);
-    std::vector<Request> merged;
-    merged.reserve(static_cast<std::size_t>(streams) *
-                   config_.batch);
-    std::vector<std::vector<std::uint32_t>> by_shard(
+    std::vector<std::vector<const Request *>> by_shard(
         store.shardCount());
 
     // Interval state: counter snapshots taken at interval open.
@@ -330,96 +331,100 @@ ServeEngine::run()
         start + std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double>(config_.seconds));
 
-    for (;;) {
+    // True when the stop flag or the deadline ends the run here.
+    const auto runEnds = [&] {
         if (config_.stopFlag &&
             config_.stopFlag->load(std::memory_order_relaxed)) {
             result.stopped = true;
-            break;
+            return true;
         }
+        return !budgeted && Clock::now() >= deadline;
+    };
 
-        // --- round sizing ------------------------------------------
+    // Sizes the next round into stream_fill and submits its fill
+    // tasks, which generate the requests and route them to shards.
+    // Round sizes depend only on result.ops and requests on no store
+    // state, so the fill may run while the previous round evicts.
+    // False when the op budget is spent.
+    const auto startFill = [&] {
         if (budgeted) {
             const std::uint64_t remaining =
                 config_.opBudget - result.ops;
             if (remaining == 0)
-                break;
+                return false;
             const std::uint64_t round_ops = std::min<std::uint64_t>(
                 remaining,
-                static_cast<std::uint64_t>(streams) *
-                    config_.batch);
+                static_cast<std::uint64_t>(streams) * config_.batch);
             for (std::uint32_t s = 0; s < streams; ++s)
                 stream_fill[s] = static_cast<std::uint32_t>(
                     round_ops / streams +
                     (s < round_ops % streams ? 1 : 0));
         } else {
-            if (Clock::now() >= deadline)
-                break;
             std::fill(stream_fill.begin(), stream_fill.end(),
                       config_.batch);
         }
-
-        // --- (1) parallel per-stream batch fill --------------------
         for (std::uint32_t s = 0; s < streams; ++s) {
             if (stream_fill[s] == 0)
                 continue;
-            pool.submit([&gen, &per_stream, &stream_fill, s] {
-                gen.fill(s, std::span<Request>(
-                                per_stream[s].data(),
-                                stream_fill[s]));
+            pool.submit([&gen, &store, &per_stream, &route, s,
+                         n = stream_fill[s]] {
+                const std::span<Request> batch(per_stream[s].data(), n);
+                gen.fill(s, batch);
+                for (std::uint32_t i = 0; i < n; ++i)
+                    route[s][i] = store.shardOf(batch[i].tenant,
+                                                batch[i].key);
             });
         }
-        pool.wait();
+        return true;
+    };
 
-        // --- (2) deterministic round-robin merge -------------------
-        merged.clear();
-        for (std::uint32_t i = 0; i < config_.batch; ++i)
-            for (std::uint32_t s = 0; s < streams; ++s)
-                if (i < stream_fill[s])
-                    merged.push_back(per_stream[s][i]);
-        if (merged.empty())
-            break;
+    bool next = !runEnds() && startFill();
+    while (next) {
+        pool.wait(); // this round's requests are generated and routed
 
-        // --- (3) partition by shard, parallel apply ----------------
+        // --- partition by shard in round-robin stream order --------
         for (auto &list : by_shard)
             list.clear();
-        for (std::uint32_t i = 0;
-             i < static_cast<std::uint32_t>(merged.size()); ++i) {
-            const Request &req = merged[i];
-            by_shard[store.shardOf(req.tenant, req.key)].push_back(
-                i);
-            if (req.isPut)
-                ++result.puts;
-            else
-                ++result.gets;
-        }
+        std::uint64_t round_ops = 0;
+        for (std::uint32_t i = 0; i < config_.batch; ++i)
+            for (std::uint32_t s = 0; s < streams; ++s)
+                if (i < stream_fill[s]) {
+                    const Request &req = per_stream[s][i];
+                    by_shard[route[s][i]].push_back(&req);
+                    if (req.isPut)
+                        ++result.puts;
+                    else
+                        ++result.gets;
+                    ++round_ops;
+                }
 
-        for (const std::vector<std::uint32_t> &list : by_shard) {
-            if (list.empty())
+        // --- parallel apply, one shard lock per task ---------------
+        for (std::uint32_t k = 0; k < by_shard.size(); ++k) {
+            if (by_shard[k].empty())
                 continue;
-            pool.submit([&store, &merged, &list, &latency,
+            pool.submit([&store, list = &by_shard[k], k, &latency,
                          timing = config_.timing] {
                 std::vector<std::uint8_t> buf;
                 LatencyTally tally(latency); // empty without timing
+                ShardedStore::ShardAccess shard = store.lockShard(k);
                 // One clock read per request: each completion time
                 // starts the next request's latency, and the first
                 // request is timed from task start.
                 auto last = timing ? Clock::now() : Clock::time_point();
-                for (const std::uint32_t idx : list) {
-                    const Request &req = merged[idx];
-                    if (req.isPut) {
-                        makeValue(buf, req);
-                        store.put(req.tenant, req.key, buf);
-                    } else if (!store.get(req.tenant, req.key)
-                                    .hit) {
+                for (const Request *req : *list) {
+                    if (req->isPut) {
+                        makeValue(buf, *req);
+                        shard.put(req->tenant, req->key, buf);
+                    } else if (!shard.get(req->tenant, req->key).hit) {
                         // Read-through fill: a get miss fetches the
                         // object from the (modelled) backend.
-                        makeValue(buf, req);
-                        store.put(req.tenant, req.key, buf);
+                        makeValue(buf, *req);
+                        shard.put(req->tenant, req->key, buf);
                     }
                     if (timing) {
                         const auto now = Clock::now();
                         tally.record(
-                            req.tenant,
+                            req->tenant,
                             static_cast<std::uint64_t>(
                                 std::chrono::nanoseconds(now - last)
                                     .count()));
@@ -430,10 +435,13 @@ ServeEngine::run()
             });
         }
         pool.wait();
-        result.ops += merged.size();
+        result.ops += round_ops;
         ++result.rounds;
 
-        // --- (4) sequential capacity eviction ----------------------
+        // --- generate the next round while this one evicts ---------
+        next = startFill();
+
+        // --- sequential capacity eviction --------------------------
         // The pass is the only writer now, so it tracks occupancy
         // itself rather than re-summing the shards per eviction.
         std::uint64_t resident = store.totalBytes();
@@ -460,7 +468,7 @@ ServeEngine::run()
             ++result.tenants[victim].evictions;
         }
 
-        // --- (5) control loop at the interval boundary -------------
+        // --- control loop at the interval boundary -----------------
         const std::uint64_t interval_misses = intervalMissCount();
         if (interval_misses >= config_.intervalMisses)
             closeInterval(interval_misses);
@@ -469,7 +477,13 @@ ServeEngine::run()
             fillLive();
             config_.observer->onRoundEnd(live);
         }
+
+        // A prefetched round the stop flag or deadline ends the run
+        // before is discarded: it never reaches the store.
+        if (runEnds())
+            next = false;
     }
+    pool.wait(); // a discarded prefetch's fill tasks
 
     // The final partial interval still carries signal — record it
     // (the simulator does the same for its last interval).

@@ -3,20 +3,26 @@
  * The serving engine: closed-loop load through the sharded store
  * under the PriSM tenant arbiter, with deterministic output.
  *
- * Execution is round-based. Each round: (1) every logical stream
- * fills one request batch (streams fan out over the worker pool),
- * (2) the batches are merged in a fixed round-robin interleave,
- * (3) the merged sequence is partitioned by shard and each shard's
- * slice is applied in merged order (shards fan out over the pool),
- * (4) after the barrier one sequential pass evicts — sampling the
- * victim tenant from the arbiter's Equation 1 distribution — until
- * occupancy fits the byte budget, and (5) once the interval's miss
- * quota W is met, the control loop records the interval and
- * recomputes targets and distribution.
+ * Execution is round-based and pipelined. Each round: (1) every
+ * logical stream fills one request batch and routes each request to
+ * its shard (streams fan out over the worker pool), (2) one serial
+ * pass walks the batches in a fixed round-robin interleave and
+ * appends each request to its shard's list, (3) each shard's slice
+ * is applied in that order by one task holding the shard's lock
+ * (shards fan out over the pool), (4) after the barrier the next
+ * round's fill tasks are submitted and, while they run, one
+ * sequential pass evicts — sampling the victim tenant from the
+ * arbiter's Equation 1 distribution — until occupancy fits the byte
+ * budget, and (5) once the interval's miss quota W is met, the
+ * control loop records the interval and recomputes targets and
+ * distribution. The next round's fill needs no store state and its
+ * size depends only on the ops done, so overlapping it with (4)-(5)
+ * changes nothing; a round prefetched when the stop flag or the
+ * deadline ends the run is discarded unapplied.
  *
- * Because streams (not threads) own the RNGs, the merge order is a
+ * Because streams (not threads) own the RNGs, the interleave is a
  * pure function of batch shape, shard routing is a pure function of
- * keys, per-shard application order follows the merge order, and
+ * keys, per-shard application order follows the interleave, and
  * eviction + control run sequentially, every deterministic output
  * is byte-identical at any `--threads` for a fixed op budget. Wall
  *-clock metrics (latency histograms, throughput) are collected only
@@ -83,8 +89,8 @@ struct ServeConfig
 
     /**
      * Live-plane hooks, invoked from the engine's sequential
-     * sections only (docs/OBSERVABILITY.md). Non-owning; null = no
-     * observation.
+     * sections only (docs/OBSERVABILITY.md), possibly while the next
+     * round's fill tasks run. Non-owning; null = no observation.
      */
     ServeObserver *observer = nullptr;
 
@@ -168,7 +174,10 @@ struct ServeLiveState
  * Hooks into the serve round pipeline. All callbacks fire on the
  * engine thread inside the sequential eviction/control sections —
  * implementations need no locking, may append telemetry events via
- * state.recorder, and must not block.
+ * state.recorder, and must not block. The next round's fill tasks
+ * may be running meanwhile; they touch only the request generator
+ * and the engine's per-stream buffers, never the store, the arbiter
+ * or anything in @p state.
  */
 class ServeObserver
 {

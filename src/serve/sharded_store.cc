@@ -203,16 +203,11 @@ ShardedStore::insertLocked(Shard &shard, std::uint32_t tenant,
 }
 
 ShardedStore::GetResult
-ShardedStore::get(std::uint32_t tenant, std::uint64_t key,
-                  std::vector<std::uint8_t> *value_out)
+ShardedStore::getLocked(Shard &shard, std::uint32_t tenant,
+                        std::uint64_t key, std::uint64_t hash,
+                        std::vector<std::uint8_t> *value_out)
 {
-    panicIf(tenant >= tenants_, "ShardedStore::get: bad tenant");
-    const std::uint64_t hash = slotHash(tenant, key);
-    Shard &shard = shards_[hash >> shard_shift_ &
-                           (shards_.size() - 1)];
-
     GetResult result;
-    std::lock_guard<std::mutex> lock(shard.mutex);
     TenantState &ts = shard.tenant[tenant];
     const std::uint32_t idx = findSlot(shard, tenant, key, hash);
     if (idx != kNil) {
@@ -231,16 +226,68 @@ ShardedStore::get(std::uint32_t tenant, std::uint64_t key,
     return result;
 }
 
+ShardedStore::GetResult
+ShardedStore::get(std::uint32_t tenant, std::uint64_t key,
+                  std::vector<std::uint8_t> *value_out)
+{
+    panicIf(tenant >= tenants_, "ShardedStore::get: bad tenant");
+    const std::uint64_t hash = slotHash(tenant, key);
+    Shard &shard = shards_[shardOfHash(hash)];
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    return getLocked(shard, tenant, key, hash, value_out);
+}
+
 void
 ShardedStore::put(std::uint32_t tenant, std::uint64_t key,
                   std::span<const std::uint8_t> value)
 {
     panicIf(tenant >= tenants_, "ShardedStore::put: bad tenant");
     const std::uint64_t hash = slotHash(tenant, key);
-    Shard &shard = shards_[hash >> shard_shift_ &
-                           (shards_.size() - 1)];
+    Shard &shard = shards_[shardOfHash(hash)];
     std::lock_guard<std::mutex> lock(shard.mutex);
     insertLocked(shard, tenant, key, hash, value);
+}
+
+ShardedStore::ShardAccess
+ShardedStore::lockShard(std::uint32_t shard)
+{
+    panicIf(shard >= shards_.size(),
+            "ShardedStore::lockShard: bad shard");
+    return ShardAccess(*this, shard);
+}
+
+ShardedStore::ShardAccess::ShardAccess(ShardedStore &store,
+                                       std::uint32_t shard)
+    : store_(store), index_(shard), shard_(store.shards_[shard]),
+      lock_(shard_.mutex)
+{
+}
+
+std::uint64_t
+ShardedStore::ShardAccess::checkedHash(std::uint32_t tenant,
+                                       std::uint64_t key) const
+{
+    panicIf(tenant >= store_.tenants_, "ShardAccess: bad tenant");
+    const std::uint64_t hash = slotHash(tenant, key);
+    panicIf(store_.shardOfHash(hash) != index_,
+            "ShardAccess: key routes to another shard");
+    return hash;
+}
+
+ShardedStore::GetResult
+ShardedStore::ShardAccess::get(std::uint32_t tenant, std::uint64_t key,
+                               std::vector<std::uint8_t> *value_out)
+{
+    return store_.getLocked(shard_, tenant, key,
+                            checkedHash(tenant, key), value_out);
+}
+
+void
+ShardedStore::ShardAccess::put(std::uint32_t tenant, std::uint64_t key,
+                               std::span<const std::uint8_t> value)
+{
+    store_.insertLocked(shard_, tenant, key, checkedHash(tenant, key),
+                        value);
 }
 
 std::uint64_t

@@ -21,7 +21,15 @@
  *
  * Concurrency contract: get/put are thread-safe (per-shard mutex;
  * the TSan hammer test exercises this) and evictOneFrom is called
- * only from the engine's sequential eviction pass. The aggregate
+ * only from the engine's sequential eviction pass. lockShard(k)
+ * returns a ShardAccess that holds shard k's mutex until it is
+ * destroyed; its get/put run the same bodies as the store's without
+ * re-locking, so a caller that owns a whole shard slice (the
+ * engine's apply task) locks once per slice rather than once per
+ * request. A ShardAccess refuses a key that routes to another shard,
+ * and its owner must not call the store's own get/put/evictOneFrom
+ * on the same shard while holding it (the mutex is not recursive).
+ * The aggregate
  * readers (hits, misses, shadowHits, tenantBytes, totalBytes,
  * objectCount, rehashes) take no lock and are safe to call at any
  * time, but their sums are exact only while no get or put is in
@@ -109,10 +117,13 @@ class ShardedStore final : public TenantPlane
     std::uint32_t
     shardOf(std::uint32_t tenant, std::uint64_t key) const
     {
-        return static_cast<std::uint32_t>(
-            slotHash(tenant, key) >> shard_shift_ &
-            (shards_.size() - 1));
+        return shardOfHash(slotHash(tenant, key));
     }
+
+    class ShardAccess;
+
+    /** Lock shard @p shard for a run of get/put calls on its keys. */
+    ShardAccess lockShard(std::uint32_t shard);
 
     std::uint32_t shardCount() const
     {
@@ -257,6 +268,13 @@ class ShardedStore final : public TenantPlane
                                            tenant));
     }
 
+    std::uint32_t
+    shardOfHash(std::uint64_t hash) const
+    {
+        return static_cast<std::uint32_t>(hash >> shard_shift_ &
+                                          (shards_.size() - 1));
+    }
+
     /** Find @p key's Full slot; kNil when absent. */
     std::uint32_t findSlot(const Shard &shard, std::uint32_t tenant,
                            std::uint64_t key,
@@ -265,6 +283,9 @@ class ShardedStore final : public TenantPlane
     void unlink(Shard &shard, std::uint32_t idx);
     void linkFront(Shard &shard, std::uint32_t idx);
     void growShard(Shard &shard);
+    GetResult getLocked(Shard &shard, std::uint32_t tenant,
+                        std::uint64_t key, std::uint64_t hash,
+                        std::vector<std::uint8_t> *value_out);
     void insertLocked(Shard &shard, std::uint32_t tenant,
                       std::uint64_t key, std::uint64_t hash,
                       std::span<const std::uint8_t> value);
@@ -279,6 +300,33 @@ class ShardedStore final : public TenantPlane
     /** Per-tenant round-robin shard cursor for evictOneFrom (only
      *  touched by the sequential eviction pass). */
     std::vector<std::uint32_t> evict_cursor_;
+};
+
+/**
+ * One shard of a ShardedStore, locked for as long as this object
+ * lives. get/put behave exactly as the store's own; a key that
+ * routes to another shard is a programming error (panic).
+ */
+class ShardedStore::ShardAccess
+{
+  public:
+    GetResult get(std::uint32_t tenant, std::uint64_t key,
+                  std::vector<std::uint8_t> *value_out = nullptr);
+    void put(std::uint32_t tenant, std::uint64_t key,
+             std::span<const std::uint8_t> value);
+
+  private:
+    friend class ShardedStore;
+    ShardAccess(ShardedStore &store, std::uint32_t shard);
+
+    /** @p key's hash, after checking it routes to this shard. */
+    std::uint64_t checkedHash(std::uint32_t tenant,
+                              std::uint64_t key) const;
+
+    ShardedStore &store_;
+    std::uint32_t index_;
+    Shard &shard_;
+    std::unique_lock<std::mutex> lock_;
 };
 
 } // namespace prism::serve

@@ -384,6 +384,9 @@ TEST(RunSpecParse, RejectsBadInput)
     EXPECT_FALSE(parseRunSpec("--workload NoSuch", spec).ok());
     EXPECT_FALSE(parseRunSpec("--instr abc", spec).ok());
     EXPECT_FALSE(parseRunSpec("--cores 3", spec).ok());
+    EXPECT_FALSE(parseRunSpec("--bits 32", spec).ok());
+    EXPECT_FALSE(parseRunSpec("--qos-frac nan", spec).ok());
+    EXPECT_FALSE(parseRunSpec("--qos-frac 1e300", spec).ok());
     EXPECT_FALSE(parseRunSpec("--stats", spec).ok()); // output flag
     EXPECT_FALSE(
         parseRunSpec("--faults nosuchkind@2", spec).ok());

@@ -163,6 +163,39 @@ TEST(Cli, MalformedNumberFails)
     EXPECT_NE(out.find("12x34"), std::string::npos);
 }
 
+TEST(Cli, OutOfRangeBitsFailAtParseTime)
+{
+    // A width the codec cannot hold is a usage error, not a mid-run
+    // fatal; 31, its widest, still runs.
+    for (const char *bits : {"32", "40"}) {
+        const auto [code, out] = run(
+            std::string("--mix 403.gcc,186.crafty --instr 40000 "
+                        "--warmup 10000 --interval 200 --bits ") +
+            bits);
+        EXPECT_EQ(code, 2) << "--bits " << bits;
+        EXPECT_NE(out.find("--bits must be"), std::string::npos)
+            << out;
+    }
+    const auto [code, out] = run(
+        "--mix 403.gcc,186.crafty --instr 40000 --warmup 10000 "
+        "--interval 200 --bits 31");
+    EXPECT_EQ(code, 0) << out;
+}
+
+TEST(Cli, QosFracOutsideUnitIntervalFailsAtParseTime)
+{
+    // The IPC floor is a fraction of the stand-alone IPC.
+    for (const char *frac : {"nan", "-1", "1e300", "inf"}) {
+        const auto [code, out] = run(
+            std::string("--mix 403.gcc,186.crafty --scheme PriSM-Q "
+                        "--instr 40000 --warmup 10000 --qos-frac ") +
+            frac);
+        EXPECT_EQ(code, 2) << "--qos-frac " << frac;
+        EXPECT_NE(out.find("--qos-frac must be"), std::string::npos)
+            << out;
+    }
+}
+
 TEST(Cli, MixCoreCountMismatchFails)
 {
     const auto [code, out] =

@@ -101,3 +101,14 @@ TEST(FixedPoint, SixBitsCloseToFloat)
     for (int i = 0; i < 16; ++i)
         EXPECT_NEAR(q[i], dist[i], 0.02);
 }
+
+TEST(FixedPointDeathTest, WidthOutsideOneToMaxBitsIsFatal)
+{
+    // The range is checked before 2^K - 1 is formed, so 32 and 40
+    // fail cleanly instead of shifting a 32-bit one out of range.
+    EXPECT_DEATH(FixedPointCodec{0}, "bits out of range");
+    EXPECT_DEATH(FixedPointCodec{32}, "bits out of range");
+    EXPECT_DEATH(FixedPointCodec{40}, "bits out of range");
+    EXPECT_EQ(FixedPointCodec{FixedPointCodec::kMaxBits}.maxCode(),
+              0x7FFFFFFFu);
+}

@@ -16,16 +16,17 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/zipf.hh"
 #include "plane/eq1.hh"
 #include "serve/load_gen.hh"
 #include "serve/serve_engine.hh"
 #include "serve/sharded_store.hh"
 #include "serve/tenant_arbiter.hh"
-#include "serve/zipf.hh"
 #include "telemetry/metrics_registry.hh"
 
 using namespace prism;
@@ -204,12 +205,125 @@ TEST(ShardedStoreHammer, ConcurrentGetPutKeepsAccountingExact)
     EXPECT_GT(accesses, 0u);
 }
 
+TEST(ShardedStoreHammer, LockedShardAccessBesidePlainCallsIsExact)
+{
+    StoreConfig cfg;
+    cfg.shards = 8;
+    cfg.tenants = 4;
+    cfg.capacityBytes = 64 << 20;
+    ShardedStore store(cfg);
+
+    constexpr std::uint32_t kThreads = 4;
+    constexpr std::uint32_t kOpsPerThread = 20000;
+    constexpr std::uint32_t kValue = 64;
+    constexpr std::uint32_t kRun = 64; // requests per lockShard
+
+    std::vector<std::vector<std::uint64_t>> gets(
+        kThreads, std::vector<std::uint64_t>(4, 0));
+    std::vector<std::vector<std::uint64_t>> put_keys(kThreads);
+    std::vector<std::thread> workers;
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t]() {
+            Rng rng(deriveSeed(77, std::uint64_t{t}));
+            const auto value = bytesOf(kValue, 0x3C);
+            std::uint32_t done = 0;
+            while (done < kOpsPerThread) {
+                // Even threads take runs of one shard's keys under
+                // lockShard, as the engine's apply task does; odd
+                // threads call the store's get/put.
+                std::optional<ShardedStore::ShardAccess> shard;
+                std::uint32_t k = 0;
+                if (t % 2 == 0) {
+                    k = static_cast<std::uint32_t>(
+                        rng.below(store.shardCount()));
+                    shard.emplace(store.lockShard(k));
+                }
+                for (std::uint32_t n = 0;
+                     n < kRun && done < kOpsPerThread;) {
+                    const auto tenant =
+                        static_cast<std::uint32_t>(rng.below(4));
+                    const std::uint64_t key = rng.below(5000);
+                    if (shard && store.shardOf(tenant, key) != k)
+                        continue;
+                    if (rng.chance(0.5)) {
+                        if (shard)
+                            shard->put(tenant, key, value);
+                        else
+                            store.put(tenant, key, value);
+                        put_keys[t].push_back(key << 2 | tenant);
+                    } else {
+                        if (shard)
+                            shard->get(tenant, key);
+                        else
+                            store.get(tenant, key);
+                        ++gets[t][tenant];
+                    }
+                    ++n;
+                    ++done;
+                }
+            }
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+
+    // Nothing is evicted, so the live objects are exactly the
+    // distinct (tenant, key) pairs ever put, each kValue bytes, and
+    // every get is counted once as a hit or a miss.
+    std::vector<std::uint64_t> all_puts;
+    for (const auto &keys : put_keys)
+        all_puts.insert(all_puts.end(), keys.begin(), keys.end());
+    std::sort(all_puts.begin(), all_puts.end());
+    all_puts.erase(std::unique(all_puts.begin(), all_puts.end()),
+                   all_puts.end());
+    EXPECT_EQ(store.objectCount(), all_puts.size());
+    EXPECT_EQ(store.totalBytes(), store.objectCount() * kValue);
+    for (std::uint32_t tn = 0; tn < 4; ++tn) {
+        std::uint64_t issued = 0;
+        for (std::uint32_t t = 0; t < kThreads; ++t)
+            issued += gets[t][tn];
+        EXPECT_EQ(store.hits(tn) + store.misses(tn), issued)
+            << "tenant " << tn;
+    }
+}
+
+TEST(ShardedStoreDeathTest, ShardAccessRefusesAKeyOfAnotherShard)
+{
+    StoreConfig cfg;
+    cfg.shards = 8;
+    cfg.tenants = 2;
+    ShardedStore store(cfg);
+    std::uint64_t foreign = 0;
+    while (store.shardOf(1, foreign) == 0)
+        ++foreign;
+    EXPECT_DEATH(store.lockShard(0).get(1, foreign),
+                 "key routes to another shard");
+    EXPECT_DEATH(store.lockShard(0).put(1, foreign, bytesOf(8, 1)),
+                 "key routes to another shard");
+    EXPECT_DEATH(store.lockShard(8), "bad shard");
+    EXPECT_DEATH(store.lockShard(0).get(2, 0), "bad tenant");
+
+    // A key of the locked shard goes through, as through get/put.
+    std::uint64_t own = 0;
+    while (store.shardOf(1, own) != 0)
+        ++own;
+    {
+        ShardedStore::ShardAccess shard = store.lockShard(0);
+        EXPECT_FALSE(shard.get(1, own).hit);
+        shard.put(1, own, bytesOf(8, 1));
+        EXPECT_TRUE(shard.get(1, own).hit);
+    }
+    EXPECT_TRUE(store.get(1, own).hit); // the lock was released
+    EXPECT_EQ(store.hits(1), 2u);
+    EXPECT_EQ(store.misses(1), 1u);
+}
+
 // --- ZipfGenerator ------------------------------------------------
 
 TEST(Zipf, RanksStayInRangeAndSkewTowardsHead)
 {
     const std::uint64_t kN = 1000;
-    ZipfGenerator zipf(kN, 0.99);
+    prism::ZipfGenerator zipf(kN, 0.99);
     Rng rng(7);
 
     constexpr std::uint32_t kDraws = 200000;
@@ -231,7 +345,7 @@ TEST(Zipf, RanksStayInRangeAndSkewTowardsHead)
 TEST(Zipf, ExponentZeroIsUniform)
 {
     const std::uint64_t kN = 16;
-    ZipfGenerator zipf(kN, 0.0);
+    prism::ZipfGenerator zipf(kN, 0.0);
     Rng rng(11);
 
     constexpr std::uint32_t kDraws = 160000;

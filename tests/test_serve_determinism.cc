@@ -23,13 +23,21 @@
  *     Regenerate after an intentional behaviour change:
  *       PRISM_UPDATE_GOLDEN=1 build/tests/test_serve_determinism \
  *           --gtest_filter=ServeGolden.*
+ *  5. The round pipeline (the next round's fill runs during this
+ *     round's eviction) changes nothing at its edges: budgets of one
+ *     op, less than a round, exactly a round and a partial last round
+ *     reproduce committed documents (SERVE_ops<N>.json, written by
+ *     the unpipelined engine), and a stop raised by an observer
+ *     discards the prefetched round before it reaches the store.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -138,6 +146,115 @@ TEST(ServeGolden, MatchesCommittedFixtureAtEveryThreadCount)
         EXPECT_EQ(runToJson(config, threads), golden.str())
             << "prism-serve-v1 drifted from the golden at " << threads
             << " thread(s)";
+}
+
+#ifndef PRISM_SERVE_GOLDEN_DIR
+#define PRISM_SERVE_GOLDEN_DIR "tests/golden"
+#endif
+
+TEST(ServeGolden, EdgeBudgetsMatchCommittedDocuments)
+{
+    // `prism_serve --tenants 4 --keys 25000 --capacity-mb 1
+    // --shards 16 --interval 4096 --ops N --no-timing`: a round is
+    // 16 streams x 2048 = 32768 requests, and every budget evicts.
+    ServeConfig config = goldenConfig();
+    config.capacityBytes = 1ull << 20;
+    const std::uint64_t round = std::uint64_t{config.streams} *
+                                config.batch;
+    for (const std::uint64_t ops :
+         {std::uint64_t{1}, std::uint64_t{20000}, round,
+          3 * round + 5000}) {
+        config.opBudget = ops;
+        const std::string path = std::string(PRISM_SERVE_GOLDEN_DIR) +
+                                 "/SERVE_ops" + std::to_string(ops) +
+                                 ".json";
+        if (std::getenv("PRISM_UPDATE_GOLDEN")) {
+            std::ofstream out(path, std::ios::binary);
+            ASSERT_TRUE(out) << "cannot write " << path;
+            out << runToJson(config, 1);
+            continue;
+        }
+        std::ifstream in(path, std::ios::binary);
+        ASSERT_TRUE(in) << "missing golden document " << path;
+        std::ostringstream golden;
+        golden << in.rdbuf();
+        for (const std::uint32_t threads : {1u, 2u, 8u})
+            EXPECT_EQ(runToJson(config, threads), golden.str())
+                << ops << " ops at " << threads << " thread(s)";
+    }
+}
+
+namespace
+{
+
+/** Raises the stop flag when round @p stopAt ends. */
+class StopAtRound final : public ServeObserver
+{
+  public:
+    StopAtRound(std::atomic<bool> &flag, std::uint64_t stopAt)
+        : flag_(flag), stopAt_(stopAt)
+    {
+    }
+
+    void
+    onIntervalClosed(const telemetry::IntervalSample &,
+                     std::span<const std::uint64_t>,
+                     const ServeLiveState &) override
+    {
+    }
+
+    void
+    onRoundEnd(const ServeLiveState &state) override
+    {
+        if (state.round == stopAt_)
+            flag_.store(true, std::memory_order_relaxed);
+    }
+
+  private:
+    std::atomic<bool> &flag_;
+    std::uint64_t stopAt_;
+};
+
+} // namespace
+
+TEST(ServePipeline, StopInRoundEndDiscardsThePrefetchedRound)
+{
+    constexpr std::uint64_t kStopRound = 5;
+    const ServeConfig base = fixtureConfig();
+    ServeConfig budgeted = base;
+    budgeted.opBudget = kStopRound * base.streams * base.batch;
+
+    for (const std::uint32_t threads : {1u, 2u, 8u}) {
+        const std::string expected = runToJson(budgeted, threads);
+
+        // Once with a budget that would run on, once by wall clock:
+        // both prefetch round 6 before round 5's observers fire.
+        for (const std::uint64_t budget :
+             {std::uint64_t{100} * base.streams * base.batch,
+              std::uint64_t{0}}) {
+            std::atomic<bool> stop{false};
+            StopAtRound observer(stop, kStopRound);
+            ServeConfig config = base;
+            config.opBudget = budget;
+            config.seconds = 600.0;
+            config.threads = threads;
+            config.observer = &observer;
+            config.stopFlag = &stop;
+            ServeEngine engine(config);
+            const ServeResult result = engine.run();
+
+            EXPECT_TRUE(result.stopped);
+            EXPECT_EQ(result.rounds, kStopRound);
+            // Written under the budgeted run's config, the document
+            // must be that run's: the prefetched requests touched
+            // neither the store nor any counter.
+            std::ostringstream os;
+            writeServeJson(os, budgeted, result);
+            EXPECT_EQ(os.str(), expected)
+                << "budget " << budget << " at " << threads
+                << " thread(s)";
+        }
+    }
 }
 
 TEST(ServeDeterminism, SeedChangesTheRun)

@@ -26,6 +26,7 @@
 #include <sstream>
 
 #include "common/atomic_file.hh"
+#include "common/fixed_point.hh"
 #include "common/table.hh"
 #include "fault/fault_injector.hh"
 #include "sim/runner.hh"
@@ -81,8 +82,10 @@ usage(std::ostream &os)
         "  --interval W         recompute interval in misses\n"
         "                       (0 = paper default, half the blocks)\n"
         "  --seed N             simulation seed\n"
-        "  --bits K             K-bit PriSM probabilities (0 = float)\n"
-        "  --qos-frac F         PriSM-Q IPC floor fraction (default 0.8)\n"
+        "  --bits K             K-bit PriSM probabilities, K in 1-31\n"
+        "                       (0 = float, the default)\n"
+        "  --qos-frac F         PriSM-Q IPC floor fraction in [0, 1]\n"
+        "                       (default 0.8)\n"
         "  --faults SPEC        inject faults at interval boundaries;\n"
         "                       SPEC = kind@period[+phase],... with kind\n"
         "                       occ|stale|drop|nan|inf|quant|shadow\n"
@@ -259,8 +262,13 @@ main(int argc, char **argv)
             opt.seed = parseU64(arg, value());
         } else if (arg == "--bits") {
             opt.bits = parseUnsigned(arg, value());
+            if (opt.bits > FixedPointCodec::kMaxBits)
+                cliError("--bits must be 0 (float) or 1-" +
+                         std::to_string(FixedPointCodec::kMaxBits));
         } else if (arg == "--qos-frac") {
             opt.qos_frac = parseDouble(arg, value());
+            if (!(opt.qos_frac >= 0.0 && opt.qos_frac <= 1.0))
+                cliError("--qos-frac must be a fraction in [0, 1]");
         } else if (arg == "--faults") {
             opt.faults = value();
         } else if (arg == "--checked") {
