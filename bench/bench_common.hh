@@ -2,11 +2,13 @@
  * @file
  * Shared plumbing for the figure-reproduction harnesses.
  *
- * Every binary in bench/ regenerates one table/figure of the paper.
- * Run lengths are scaled for laptop execution (see EXPERIMENTS.md);
- * two environment variables widen the sweep:
+ * Every figure in the registry (figures.hh) regenerates one
+ * table/figure of the paper. Run lengths are scaled for laptop
+ * execution (see EXPERIMENTS.md); two environment variables widen
+ * the sweep, and a malformed value of either is fatal:
  *
- *   PRISM_BENCH_SCALE      multiply instruction budgets (default 1)
+ *   PRISM_BENCH_SCALE      multiply instruction budgets (default 1;
+ *                          0 also means 1)
  *   PRISM_BENCH_WORKLOADS  workloads per suite (default 6; 0 = all)
  */
 
@@ -18,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
+#include "common/prism_assert.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "sim/runner.hh"
@@ -29,17 +33,25 @@ namespace prism::bench
 inline double
 scaleFactor()
 {
-    if (const char *s = std::getenv("PRISM_BENCH_SCALE"))
-        return std::atof(s) > 0 ? std::atof(s) : 1.0;
-    return 1.0;
+    double s = 1.0;
+    if (const char *env = std::getenv("PRISM_BENCH_SCALE"))
+        if (const Status st = cli::parseDouble("PRISM_BENCH_SCALE", env,
+                                               s, 0.0, 1e12);
+            !st.ok())
+            fatal(st.message());
+    return s > 0 ? s : 1.0;
 }
 
 inline unsigned
 workloadCap()
 {
-    if (const char *s = std::getenv("PRISM_BENCH_WORKLOADS"))
-        return static_cast<unsigned>(std::atoi(s));
-    return 6;
+    unsigned cap = 6;
+    if (const char *env = std::getenv("PRISM_BENCH_WORKLOADS"))
+        if (const Status st =
+                cli::parseUnsigned("PRISM_BENCH_WORKLOADS", env, cap);
+            !st.ok())
+            fatal(st.message());
+    return cap;
 }
 
 /** The evaluation machine for @p cores with bench-scaled budgets. */

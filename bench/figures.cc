@@ -1,7 +1,7 @@
 /**
  * @file
- * Figure registry core: lookup, execution, the shared shim main(),
- * and the hidden regression fixture sweep.
+ * Figure registry core: lookup, execution and the hidden regression
+ * fixture sweep.
  */
 
 #include "figures_impl.hh"
@@ -245,12 +245,7 @@ int
 runFigure(const Figure &fig, const FigureRunOptions &options)
 {
     std::ostream &os = std::cout;
-    os << "PriSM reproduction — " << fig.title << "\n"
-       << "paper: " << fig.paper << "\n"
-       << "scale: budgets x" << scaleFactor() << ", "
-       << (workloadCap() ? std::to_string(workloadCap())
-                         : std::string("all"))
-       << " workloads per suite\n";
+    header(fig.title, fig.paper);
 
     SweepSpec spec = fig.spec();
 
@@ -752,131 +747,6 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
         }
     }
     return rc;
-}
-
-int
-figureMain(const char *figure_id, int argc, char **argv)
-{
-    const Figure *fig = findFigure(figure_id);
-    if (!fig) {
-        std::cerr << "unknown figure id '" << figure_id << "'\n";
-        return 1;
-    }
-
-    FigureRunOptions options;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << arg << "\n";
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            std::cout
-                << "usage: " << argv[0] << " [options]\n"
-                << "  --threads N    parallel sweep workers "
-                   "(default 1)\n"
-                << "  --out DIR      directory for BENCH_*.json "
-                   "(default .)\n"
-                << "  --no-json      tables only\n"
-                << "  --no-timing    omit wall-clock JSON fields\n"
-                << "  --trace PATH   write the figure's interval time "
-                   "series as Chrome trace JSON\n"
-                << "  --trace-csv PATH\n"
-                << "                 the same series as flat CSV\n"
-                << "  --trace-capacity N\n"
-                << "                 intervals retained per job "
-                   "(default 4096)\n"
-                << "  --progress     per-job completion heartbeat on "
-                   "stderr\n"
-                << "  --doctor       diagnose every job after the "
-                   "sweep; exit 1 on FAIL\n"
-                << "  --doctor-json PATH\n"
-                << "                 write the prism-doctor-v1 "
-                   "verdicts (implies --doctor)\n"
-                << "  --no-supervise raw execution: no retry, no "
-                   "quarantine (legacy)\n"
-                << "  --retries N    retries per job after the first "
-                   "attempt (default 2)\n"
-                << "  --deadline S   per-attempt deadline in seconds "
-                   "(default: none)\n"
-                << "  --chaos SPEC   inject exec faults "
-                   "(job_crash@N[*K], alloc_fail@N, ...)\n"
-                << "  --chaos-seed N backoff jitter seed\n"
-                << "  --ckpt FILE    crash-safe checkpoint; killed "
-                   "runs resume with --resume\n"
-                << "  --ckpt-every N flush cadence in completed jobs "
-                   "(default 1)\n"
-                << "  --resume       restore completed jobs from "
-                   "--ckpt FILE\n"
-                << "\nPRISM_BENCH_SCALE and PRISM_BENCH_WORKLOADS "
-                   "scale the sweep.\n";
-            return 0;
-        } else if (arg == "--threads") {
-            options.threads =
-                static_cast<unsigned>(std::atoi(value().c_str()));
-        } else if (arg == "--out") {
-            options.outDir = value();
-        } else if (arg == "--no-json") {
-            options.writeJson = false;
-        } else if (arg == "--no-timing") {
-            options.includeTiming = false;
-        } else if (arg == "--trace") {
-            options.tracePath = value();
-        } else if (arg == "--trace-csv") {
-            options.traceCsvPath = value();
-        } else if (arg == "--trace-capacity") {
-            const long n = std::atol(value().c_str());
-            if (n <= 0) {
-                std::cerr << "--trace-capacity must be at least 1\n";
-                return 2;
-            }
-            options.traceCapacity = static_cast<std::size_t>(n);
-        } else if (arg == "--progress") {
-            options.progress = true;
-        } else if (arg == "--doctor") {
-            options.doctor = true;
-        } else if (arg == "--doctor-json") {
-            options.doctorJsonPath = value();
-            options.doctor = true;
-        } else if (arg == "--no-supervise") {
-            options.supervise = false;
-        } else if (arg == "--retries") {
-            options.retries =
-                static_cast<unsigned>(std::atoi(value().c_str()));
-        } else if (arg == "--deadline") {
-            options.deadlineSeconds = std::atof(value().c_str());
-        } else if (arg == "--chaos") {
-            options.chaosSpec = value();
-        } else if (arg == "--chaos-seed") {
-            options.chaosSeed = std::strtoull(value().c_str(),
-                                              nullptr, 10);
-        } else if (arg == "--ckpt") {
-            options.ckptPath = value();
-        } else if (arg == "--ckpt-every") {
-            const long n = std::atol(value().c_str());
-            if (n <= 0) {
-                std::cerr << "--ckpt-every must be at least 1\n";
-                return 2;
-            }
-            options.ckptEvery = static_cast<unsigned>(n);
-        } else if (arg == "--resume") {
-            options.resume = true;
-        } else if (arg == "--die-after") {
-            options.dieAfter =
-                static_cast<unsigned>(std::atoi(value().c_str()));
-        } else {
-            std::cerr << "unknown option '" << arg << "'\n";
-            return 2;
-        }
-    }
-    if (options.resume && options.ckptPath.empty()) {
-        std::cerr << "--resume requires --ckpt FILE\n";
-        return 2;
-    }
-    return runFigure(*fig, options);
 }
 
 } // namespace prism::bench

@@ -9,12 +9,9 @@
  * summary emitter for the figure's headline series in the
  * `BENCH_<id>.json` output.
  *
- * The unified `prism_bench` driver and the thin per-figure shim
- * binaries (`bench_fig02_summary` etc., kept for muscle memory) both
- * execute figures through runFigure(), which fans the sweep across a
- * thread pool (`--threads`) and emits machine-readable JSON — the
- * per-figure `main()` boilerplate this registry replaced lives on
- * only as PRISM_FIGURE_MAIN one-liners.
+ * `prism_bench <id>` (tools/prism_bench.cc) is the one driver: it
+ * executes figures through runFigure(), which fans the sweep across a
+ * thread pool (`--threads`) and emits machine-readable JSON.
  */
 
 #ifndef PRISM_BENCH_FIGURES_HH
@@ -60,7 +57,7 @@ const std::vector<Figure> &figureRegistry();
 /** Find a figure by id; null when unknown. */
 const Figure *findFigure(std::string_view id);
 
-/** Execution options shared by prism_bench and the shim binaries. */
+/** prism_bench's execution options for one figure. */
 struct FigureRunOptions
 {
     unsigned threads = 1;
@@ -163,16 +160,6 @@ struct FigureRunOptions
  */
 int runFigure(const Figure &fig, const FigureRunOptions &options);
 
-/** Shared main() implementation for the per-figure shim binaries. */
-int figureMain(const char *figure_id, int argc, char **argv);
-
 } // namespace prism::bench
-
-/** Define a shim binary's main() running one registry figure. */
-#define PRISM_FIGURE_MAIN(figure_id)                                   \
-    int main(int argc, char **argv)                                    \
-    {                                                                  \
-        return prism::bench::figureMain(figure_id, argc, argv);        \
-    }
 
 #endif // PRISM_BENCH_FIGURES_HH

@@ -1,11 +1,10 @@
 #include "analysis/run_spec.hh"
 
-#include <charconv>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/fixed_point.hh"
 #include "fault/fault_injector.hh"
 
@@ -26,30 +25,6 @@ tokenize(std::string_view text)
     return out;
 }
 
-Status
-parseU64(const std::string &flag, const std::string &text,
-         std::uint64_t &out)
-{
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(text.data(), end, out);
-    if (text.empty() || res.ec != std::errc() || res.ptr != end)
-        return Status::error("invalid number '" + text + "' for " +
-                             flag);
-    return Status();
-}
-
-Status
-parseDouble(const std::string &flag, const std::string &text,
-            double &out)
-{
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    if (text.empty() || end != text.c_str() + text.size())
-        return Status::error("invalid number '" + text + "' for " +
-                             flag);
-    return Status();
-}
-
 std::vector<std::string>
 splitMix(const std::string &mix)
 {
@@ -67,83 +42,66 @@ splitMix(const std::string &mix)
 Status
 parseRunSpec(std::string_view text, RunSpec &out)
 {
+    return parseRunSpec(tokenize(text), out);
+}
+
+Status
+parseRunSpec(const std::vector<std::string> &tokens, RunSpec &out)
+{
     out = RunSpec();
 
-    std::uint64_t cores = 4;
+    unsigned cores = 4;
     bool cores_set = false;
     std::string workload_name, mix;
     std::string scheme_name = "PriSM-H", repl_name = "LRU";
     std::uint64_t instr = 1'500'000, warmup = 500'000, interval = 0;
-    std::uint64_t seed = 0x5EED0001ULL, bits = 0;
+    std::uint64_t seed = 0x5EED0001ULL;
+    unsigned bits = 0;
     double qos_frac = 0.8;
 
-    const std::vector<std::string> tokens = tokenize(text);
     for (std::size_t i = 0; i < tokens.size(); ++i) {
         const std::string &flag = tokens[i];
-        auto value = [&](std::string &v) {
-            if (i + 1 >= tokens.size())
-                return Status::error("missing value for " + flag);
-            v = tokens[++i];
-            return Status();
-        };
-        std::string v;
+        if (flag == "--checked") {
+            out.options.checked = true;
+            continue;
+        }
+        const std::string v =
+            i + 1 < tokens.size() ? tokens[i + 1] : "";
         Status st;
         if (flag == "--cores") {
-            if (!(st = value(v)).ok() ||
-                !(st = parseU64(flag, v, cores)).ok())
-                return st;
+            st = cli::parseUnsigned(flag, v, cores);
             cores_set = true;
         } else if (flag == "--workload") {
-            if (!(st = value(workload_name)).ok())
-                return st;
+            workload_name = v;
         } else if (flag == "--mix") {
-            if (!(st = value(mix)).ok())
-                return st;
+            mix = v;
         } else if (flag == "--scheme") {
-            if (!(st = value(scheme_name)).ok())
-                return st;
+            scheme_name = v;
         } else if (flag == "--repl") {
-            if (!(st = value(repl_name)).ok())
-                return st;
+            repl_name = v;
         } else if (flag == "--instr") {
-            if (!(st = value(v)).ok() ||
-                !(st = parseU64(flag, v, instr)).ok())
-                return st;
+            st = cli::parseUnsigned(flag, v, instr);
         } else if (flag == "--warmup") {
-            if (!(st = value(v)).ok() ||
-                !(st = parseU64(flag, v, warmup)).ok())
-                return st;
+            st = cli::parseUnsigned(flag, v, warmup);
         } else if (flag == "--interval") {
-            if (!(st = value(v)).ok() ||
-                !(st = parseU64(flag, v, interval)).ok())
-                return st;
+            st = cli::parseUnsigned(flag, v, interval);
         } else if (flag == "--seed") {
-            if (!(st = value(v)).ok() ||
-                !(st = parseU64(flag, v, seed)).ok())
-                return st;
+            st = cli::parseUnsigned(flag, v, seed);
         } else if (flag == "--bits") {
-            if (!(st = value(v)).ok() ||
-                !(st = parseU64(flag, v, bits)).ok())
-                return st;
-            if (bits > FixedPointCodec::kMaxBits)
-                return Status::error(
-                    "--bits must be 0 (float) or 1-" +
-                    std::to_string(FixedPointCodec::kMaxBits));
+            // 0 selects float probabilities.
+            st = cli::parseUnsigned(flag, v, bits, 0,
+                                    FixedPointCodec::kMaxBits);
         } else if (flag == "--qos-frac") {
-            if (!(st = value(v)).ok() ||
-                !(st = parseDouble(flag, v, qos_frac)).ok())
-                return st;
-            if (!(qos_frac >= 0.0 && qos_frac <= 1.0))
-                return Status::error(
-                    "--qos-frac must be a fraction in [0, 1]");
+            st = cli::parseDouble(flag, v, qos_frac, 0.0, 1.0);
         } else if (flag == "--faults") {
-            if (!(st = value(out.options.faultSpec)).ok())
-                return st;
-        } else if (flag == "--checked") {
-            out.options.checked = true;
+            out.options.faultSpec = v;
         } else {
             return Status::error("unknown run flag '" + flag + "'");
         }
+        if (++i >= tokens.size())
+            return Status::error("missing value for " + flag);
+        if (!st.ok())
+            return st;
     }
 
     if (!schemeFromName(scheme_name, out.scheme))
@@ -165,30 +123,28 @@ parseRunSpec(std::string_view text, RunSpec &out)
         out.workload.benchmarks = splitMix(mix);
         if (out.workload.benchmarks.empty())
             return Status::error("--mix lists no benchmarks");
-        if (cores_set && out.workload.benchmarks.size() != cores)
-            return Status::error(
-                "--mix lists " +
-                std::to_string(out.workload.benchmarks.size()) +
-                " benchmarks but --cores asked for " +
-                std::to_string(cores));
-        cores = out.workload.benchmarks.size();
     } else if (!workload_name.empty()) {
         if (!suites::find(workload_name, out.workload))
             return Status::error("unknown workload '" +
                                  workload_name + "'");
-        cores = out.workload.benchmarks.size();
     } else {
         if (cores != 4 && cores != 8 && cores != 16 && cores != 32)
             return Status::error(
                 "--cores must be 4, 8, 16 or 32 (got " +
                 std::to_string(cores) + ")");
-        out.workload = suites::forCoreCount(
-                           static_cast<std::uint32_t>(cores))
-                           .front();
+        out.workload = suites::forCoreCount(cores).front();
     }
+    // An explicit --cores must agree with the mix it runs.
+    const std::size_t n = out.workload.benchmarks.size();
+    if (cores_set && n != cores)
+        return Status::error(
+            (mix.empty() ? "--workload " + workload_name + " has "
+                         : std::string("--mix lists ")) +
+            std::to_string(n) + " benchmarks but --cores asked for " +
+            std::to_string(cores));
+    cores = static_cast<unsigned>(n);
 
-    out.machine =
-        MachineConfig::forCores(static_cast<std::uint32_t>(cores));
+    out.machine = MachineConfig::forCores(cores);
     out.machine.instrBudget = instr;
     out.machine.warmupInstr = warmup;
     if (interval)
@@ -204,7 +160,7 @@ parseRunSpec(std::string_view text, RunSpec &out)
         return Status::error(joined);
     }
 
-    out.options.probBits = static_cast<unsigned>(bits);
+    out.options.probBits = bits;
     out.options.qosTargetFrac = qos_frac;
     return Status();
 }

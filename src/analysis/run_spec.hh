@@ -1,21 +1,23 @@
 /**
  * @file
- * RunSpec: parse a prism_sim-style argument string into a runnable
- * simulation description.
+ * RunSpec: parse prism_sim's run flags into a runnable simulation
+ * description.
  *
- * `prism_doctor --run "--workload Q7 --scheme PriSM-H"` executes one
- * fresh simulation and diagnoses it in-process. The flag vocabulary
- * deliberately mirrors prism_sim's run-shaping subset (--cores,
- * --workload, --mix, --scheme, --repl, --instr, --warmup, --interval,
- * --seed, --bits, --qos-frac, --faults, --checked) so a run command
- * can be copied between the two tools verbatim; output flags are not
- * accepted here.
+ * This is the one parser of the run vocabulary (--cores, --workload,
+ * --mix, --scheme, --repl, --instr, --warmup, --interval, --seed,
+ * --bits, --qos-frac, --faults, --checked). prism_sim hands it every
+ * flag that is not an output or listing flag, and
+ * `prism_doctor --run "--workload Q7 --scheme PriSM-H"` hands it the
+ * quoted string, so a run command copies between the two tools
+ * verbatim and both reject the same inputs.
  */
 
 #ifndef PRISM_ANALYSIS_RUN_SPEC_HH
 #define PRISM_ANALYSIS_RUN_SPEC_HH
 
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.hh"
 #include "sim/runner.hh"
@@ -33,10 +35,16 @@ struct RunSpec
 };
 
 /**
- * Parse @p text (whitespace-separated flags) into @p out. The machine
- * is the paper configuration for the resolved core count with
- * prism_sim's default run lengths (1.5M instructions, 500k warm-up).
+ * Parse @p tokens (flags and their values, in order) into @p out. The
+ * machine is the paper configuration for the resolved core count
+ * with default run lengths of 1.5M instructions and 500k warm-up.
+ * Numbers, names, the fault spec, the core count against the mix and
+ * the machine are all checked here.
  */
+Status parseRunSpec(const std::vector<std::string> &tokens,
+                    RunSpec &out);
+
+/** parseRunSpec() over the whitespace-separated flags in @p text. */
 Status parseRunSpec(std::string_view text, RunSpec &out);
 
 } // namespace prism::analysis

@@ -1,35 +1,10 @@
 #include "serve/load_gen.hh"
 
-#include <charconv>
-#include <cstdlib>
-
+#include "common/cli.hh"
 #include "common/prism_assert.hh"
 
 namespace prism::serve
 {
-
-namespace
-{
-
-bool
-parseU64(std::string_view text, std::uint64_t &out)
-{
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), end, out);
-    return ec == std::errc() && ptr == end;
-}
-
-bool
-parseDouble(std::string_view text, double &out)
-{
-    const std::string buf(text);
-    char *end = nullptr;
-    out = std::strtod(buf.c_str(), &end);
-    return end == buf.c_str() + buf.size() && !buf.empty();
-}
-
-} // namespace
 
 Status
 parseTenantSpec(std::string_view text, TenantSpec &out)
@@ -53,36 +28,32 @@ parseTenantSpec(std::string_view text, TenantSpec &out)
         const std::string_view key = field.substr(0, eq);
         const std::string_view value = field.substr(eq + 1);
 
-        bool ok = true;
+        const std::string name(key);
+        Status st;
         if (key == "keys")
-            ok = parseU64(value, out.keys) && out.keys > 0;
+            st = cli::parseUnsigned(name, value, out.keys, 1);
         else if (key == "zipf")
-            ok = parseDouble(value, out.zipf) && out.zipf >= 0.0;
+            st = cli::parseDouble(name, value, out.zipf, 0.0);
         else if (key == "get")
-            ok = parseDouble(value, out.getFrac) &&
-                 out.getFrac >= 0.0 && out.getFrac <= 1.0;
-        else if (key == "vmin") {
-            std::uint64_t v = 0;
-            ok = parseU64(value, v) && v > 0 && v <= 0xFFFFFFFFull;
-            out.vmin = static_cast<std::uint32_t>(v);
-        } else if (key == "vmax") {
-            std::uint64_t v = 0;
-            ok = parseU64(value, v) && v > 0 && v <= 0xFFFFFFFFull;
-            out.vmax = static_cast<std::uint32_t>(v);
-        } else if (key == "weight")
-            ok = parseDouble(value, out.weight) && out.weight >= 0.0;
+            st = cli::parseDouble(name, value, out.getFrac, 0.0, 1.0);
+        else if (key == "vmin")
+            st = cli::parseUnsigned(name, value, out.vmin, 1);
+        else if (key == "vmax")
+            st = cli::parseUnsigned(name, value, out.vmax, 1);
+        else if (key == "weight")
+            st = cli::parseDouble(name, value, out.weight, 0.0);
         else if (key == "slo-hit")
-            ok = parseDouble(value, out.sloHit) &&
-                 out.sloHit >= 0.0 && out.sloHit <= 1.0;
-        else if (key == "floor")
-            ok = parseDouble(value, out.floorFrac) &&
-                 out.floorFrac >= 0.0 && out.floorFrac < 1.0;
-        else
-            return Status::error("unknown tenant spec key '" +
-                                 std::string(key) + "'");
-        if (!ok)
-            return Status::error("bad tenant spec value '" +
-                                 std::string(field) + "'");
+            st = cli::parseDouble(name, value, out.sloHit, 0.0, 1.0);
+        else if (key == "floor") {
+            st = cli::parseDouble(name, value, out.floorFrac, 0.0, 1.0);
+            if (st.ok() && out.floorFrac == 1.0)
+                st = Status::error("floor must be below 1 (got '" +
+                                   std::string(value) + "')");
+        } else
+            return Status::error("unknown tenant spec key '" + name +
+                                 "'");
+        if (!st.ok())
+            return st;
     }
     if (out.vmin > out.vmax)
         return Status::error("tenant spec has vmin > vmax");

@@ -1,12 +1,38 @@
 #include "workload/trace_generator.hh"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "common/prism_assert.hh"
 
 namespace prism
 {
+
+namespace
+{
+
+/**
+ * Parse one address token as a C integer literal: 0x-prefixed hex,
+ * 0-prefixed octal, else decimal. No sign and nothing after it.
+ */
+bool
+parseAddress(std::string_view token, Addr &out)
+{
+    int base = 10;
+    if (token.size() > 1 && token[0] == '0') {
+        const bool hex = token[1] == 'x' || token[1] == 'X';
+        base = hex ? 16 : 8;
+        token.remove_prefix(hex ? 2 : 1);
+    }
+    const char *end = token.data() + token.size();
+    const auto [ptr, ec] =
+        std::from_chars(token.data(), end, out, base);
+    return !token.empty() && ec == std::errc() && ptr == end;
+}
+
+} // namespace
 
 TraceFileGenerator::TraceFileGenerator(const std::string &path,
                                        std::uint32_t stream_id)
@@ -25,12 +51,11 @@ TraceFileGenerator::TraceFileGenerator(const std::string &path,
         std::string token;
         if (!(ls >> token))
             continue;
-        try {
-            blocks_.push_back(std::stoull(token, nullptr, 0));
-        } catch (const std::exception &) {
+        Addr block = 0;
+        if (!parseAddress(token, block))
             fatal("TraceFileGenerator: bad address '" + token +
                   "' in " + path);
-        }
+        blocks_.push_back(block);
     }
     fatalIf(blocks_.empty(),
             "TraceFileGenerator: no addresses in '" + path + "'");

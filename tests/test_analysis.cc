@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "analysis/doctor.hh"
 #include "analysis/run_spec.hh"
 #include "analysis/series.hh"
+#include "common/cli.hh"
 
 using namespace prism;
 using namespace prism::analysis;
@@ -388,10 +390,79 @@ TEST(RunSpecParse, RejectsBadInput)
     EXPECT_FALSE(parseRunSpec("--qos-frac nan", spec).ok());
     EXPECT_FALSE(parseRunSpec("--qos-frac 1e300", spec).ok());
     EXPECT_FALSE(parseRunSpec("--stats", spec).ok()); // output flag
+    EXPECT_FALSE(parseRunSpec("--cores 8 --workload Q7", spec).ok());
     EXPECT_FALSE(
         parseRunSpec("--faults nosuchkind@2", spec).ok());
     // Default spec is the 4-core paper machine under PriSM-H.
     ASSERT_TRUE(parseRunSpec("", spec).ok());
     EXPECT_EQ(spec.scheme, SchemeKind::PrismH);
     EXPECT_EQ(spec.machine.numCores, 4u);
+}
+
+// --- common/cli.hh: the one checked number parser ----------------
+
+TEST(CliNumber, UnsignedAcceptsOnlyPlainDigitsInRange)
+{
+    std::uint64_t v = 42;
+    ASSERT_TRUE(cli::parseUnsigned("--n", "0", v).ok());
+    EXPECT_EQ(v, 0u);
+    ASSERT_TRUE(
+        cli::parseUnsigned("--n", "18446744073709551615", v).ok());
+    EXPECT_EQ(v, UINT64_MAX);
+
+    // Sign, blanks, trailing junk, empty, overflow: all refused, and
+    // the target keeps its value.
+    v = 42;
+    for (const char *bad :
+         {"-1", "+7", " 7", "7 ", "7x", "0x10", "", "1.5",
+          "18446744073709551616", "99999999999999999999999"})
+        EXPECT_FALSE(cli::parseUnsigned("--n", bad, v).ok()) << bad;
+    EXPECT_EQ(v, 42u);
+
+    // The range is inclusive at both ends; the message names the
+    // flag, the range and the value.
+    unsigned u = 0;
+    EXPECT_TRUE(cli::parseUnsigned("--t", "1", u, 1, 1024).ok());
+    EXPECT_TRUE(cli::parseUnsigned("--t", "1024", u, 1, 1024).ok());
+    EXPECT_EQ(u, 1024u);
+    const Status st = cli::parseUnsigned("--t", "1025", u, 1, 1024);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.message(), "--t must be in [1, 1024] (got '1025')");
+    EXPECT_FALSE(cli::parseUnsigned("--t", "0", u, 1, 1024).ok());
+    // A value that does not fit the target type is out of range,
+    // never truncated.
+    EXPECT_FALSE(cli::parseUnsigned("--t", "4294967297", u).ok());
+    EXPECT_EQ(u, 1024u);
+    std::uint8_t b = 0;
+    EXPECT_FALSE(cli::parseUnsigned("--b", "256", b).ok());
+    EXPECT_TRUE(cli::parseUnsigned("--b", "255", b).ok());
+
+    const Status junk = cli::parseUnsigned("--n", "12x34", v);
+    EXPECT_EQ(junk.message(), "invalid number '12x34' for --n");
+}
+
+TEST(CliNumber, DoubleIsFiniteAndInRange)
+{
+    double d = -3.0;
+    for (const char *good : {"0", "0.25", ".5", "1e-3", "1E2", "-2"})
+        EXPECT_TRUE(cli::parseDouble("--x", good, d).ok()) << good;
+    ASSERT_TRUE(cli::parseDouble("--x", "0.25", d).ok());
+    EXPECT_DOUBLE_EQ(d, 0.25);
+
+    for (const char *bad : {"nan", "inf", "-inf", "infinity", "1e400",
+                            "+1", " 1", "1 ", "1x", "", "0x1p3"})
+        EXPECT_FALSE(cli::parseDouble("--x", bad, d).ok()) << bad;
+    EXPECT_DOUBLE_EQ(d, 0.25);
+
+    // Inclusive range edges.
+    EXPECT_TRUE(cli::parseDouble("--f", "0", d, 0.0, 1.0).ok());
+    EXPECT_TRUE(cli::parseDouble("--f", "1", d, 0.0, 1.0).ok());
+    EXPECT_FALSE(cli::parseDouble("--f", "1.0000001", d, 0.0, 1.0).ok());
+    EXPECT_FALSE(cli::parseDouble("--f", "-0.5", d, 0.0, 1.0).ok());
+    EXPECT_EQ(cli::parseDouble("--f", "nan", d, 0.0, 1.0).message(),
+              "--f must be in [0, 1] (got 'nan')");
+    EXPECT_EQ(cli::parseDouble("--tol", "-1", d, 0.0).message(),
+              "--tol must be a finite number >= 0 (got '-1')");
+    EXPECT_EQ(cli::parseDouble("--z", "inf", d).message(),
+              "--z must be a finite number (got 'inf')");
 }

@@ -139,3 +139,28 @@ TEST(BenchGolden, ListIncludesHeadlineFigures)
     // Hidden fixtures stay out of the listing.
     EXPECT_EQ(out.find("fixture\n"), std::string::npos);
 }
+
+TEST(BenchCli, MalformedNumbersAreUsageErrors)
+{
+    // Each bad value comes before --list: a regressed check lists the
+    // figures and exits 0 without building a pool or running a job.
+    const char *const bad[] = {
+        "--threads 2x",        "--threads 0",
+        "--threads 1025",      "--threads -1",
+        "--retries -1",        "--deadline nan",
+        "--deadline -1",       "--metrics-every 3q",
+        "--chaos-seed zz",     "--ckpt-every 5x",
+        "--ckpt-every 0",      "--trace-capacity 9x",
+        "--die-after x",       "--threads",
+    };
+    for (const char *flags : bad) {
+        const auto [code, out] = run(std::string(flags) + " --list");
+        EXPECT_EQ(code, 2) << flags << ": " << out;
+        EXPECT_EQ(out.find("fig02_summary"), std::string::npos)
+            << flags << ": " << out;
+    }
+    // The bounds themselves are accepted.
+    const auto [code, out] =
+        run("--threads 1024 --retries 0 --deadline 0.5 --list");
+    EXPECT_EQ(code, 0) << out;
+}

@@ -205,6 +205,21 @@ TEST(Cli, MixCoreCountMismatchFails)
     EXPECT_NE(out.find("--mix"), std::string::npos);
 }
 
+TEST(Cli, CoresConflictingWithWorkloadFails)
+{
+    // Q7 is a 4-core mix: an explicit --cores must agree with it
+    // rather than be silently overridden.
+    const auto [code, out] =
+        run("--cores 8 --workload Q7 --instr 20000 --warmup 1000");
+    EXPECT_EQ(code, 2) << out;
+    EXPECT_NE(out.find("--cores"), std::string::npos) << out;
+
+    const auto [code2, out2] =
+        run("--cores 16 --workload S3 --instr 20000 --warmup 1000");
+    EXPECT_EQ(code2, 0) << out2;
+    EXPECT_NE(out2.find("on 16 cores"), std::string::npos) << out2;
+}
+
 TEST(Cli, BadFaultSpecFails)
 {
     const auto [code, out] = run(

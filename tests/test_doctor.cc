@@ -150,30 +150,64 @@ TEST(DoctorCli, CompareGoldenAgainstItselfPasses)
     EXPECT_NE(out.find("overall: PASS"), std::string::npos) << out;
 }
 
-TEST(DoctorCli, ComparePerturbedFails)
+namespace
+{
+
+/**
+ * Write a copy of the BENCH golden with the first digit of its first
+ * "intervals" value bumped (a one-count behavioural drift the gate
+ * must catch) into @p dir; returns the path.
+ */
+std::string
+writePerturbedGolden(const std::string &dir)
 {
     const std::string golden = slurp(PRISM_BENCH_GOLDEN_DEFAULT);
-    ASSERT_FALSE(golden.empty());
+    EXPECT_FALSE(golden.empty());
     const std::size_t pos = golden.find("\"intervals\": ");
-    ASSERT_NE(pos, std::string::npos);
+    EXPECT_NE(pos, std::string::npos);
     std::string perturbed = golden;
-    // Bump the first digit of the value ("intervals": N...): a
-    // one-count behavioural drift the gate must catch.
     char &digit = perturbed[pos + 13];
-    ASSERT_TRUE(digit >= '0' && digit <= '9') << digit;
+    EXPECT_TRUE(digit >= '0' && digit <= '9') << digit;
     digit = digit == '9' ? '8' : digit + 1;
 
-    const std::string dir = tempDir();
     const std::string path = dir + "/perturbed.json";
-    {
-        std::ofstream f(path, std::ios::binary);
-        f << perturbed;
-    }
+    std::ofstream f(path, std::ios::binary);
+    f << perturbed;
+    return path;
+}
+
+} // namespace
+
+TEST(DoctorCli, ComparePerturbedFails)
+{
+    const std::string dir = tempDir();
+    const std::string path = writePerturbedGolden(dir);
     const auto [code, out] =
         run(doctorBin() + " --compare " + PRISM_BENCH_GOLDEN_DEFAULT +
             " " + path);
     EXPECT_EQ(code, 1) << out;
     EXPECT_NE(out.find("compare.metric"), std::string::npos) << out;
+
+    std::remove(path.c_str());
+    std::remove(dir.c_str());
+}
+
+TEST(DoctorCli, NonFiniteOrNegativeToleranceIsAUsageError)
+{
+    // A NaN or infinite tolerance would pass every comparison, so a
+    // failing gate must not be turned into a pass by one.
+    const std::string dir = tempDir();
+    const std::string path = writePerturbedGolden(dir);
+    const std::string compare = doctorBin() + " --compare " +
+                                PRISM_BENCH_GOLDEN_DEFAULT + " " +
+                                path + " --tolerance ";
+    for (const char *tol : {"nan", "inf", "-1", "0.1x", "intervals=nan",
+                            "intervals=inf", "*intervals=-0.5"}) {
+        const auto [code, out] = run(compare + "'" + tol + "'");
+        EXPECT_EQ(code, 2) << tol << ": " << out;
+    }
+    const auto [code, out] = run(compare + "0");
+    EXPECT_EQ(code, 1) << out;
 
     std::remove(path.c_str());
     std::remove(dir.c_str());

@@ -200,8 +200,9 @@ TEST(FaultInjector, SameSeedSameMutations)
         for (std::size_t j = 0; j < ca.size(); ++j) {
             // NaN != NaN, so compare bit-classification + value.
             EXPECT_EQ(std::isnan(ca[j]), std::isnan(cb[j]));
-            if (!std::isnan(ca[j]))
+            if (!std::isnan(ca[j])) {
                 EXPECT_EQ(ca[j], cb[j]);
+            }
         }
     }
     EXPECT_EQ(a.injected(), b.injected());

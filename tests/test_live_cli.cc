@@ -30,6 +30,10 @@ namespace
 #ifndef PRISM_DOCTOR_BIN_DEFAULT
 #define PRISM_DOCTOR_BIN_DEFAULT "tools/prism_doctor"
 #endif
+#ifndef PRISM_METRICS_GOLDEN_DEFAULT
+#define PRISM_METRICS_GOLDEN_DEFAULT \
+    "../tests/golden/METRICS_fixture.json"
+#endif
 
 /** The serve fixture (test_serve_determinism), whole-round budget. */
 const char *const kFixtureFlags =
@@ -151,6 +155,23 @@ TEST(LiveCli, TopRendersASnapshotOnce)
     run("rm -rf " + dir);
 }
 
+TEST(LiveCli, TopRejectsMalformedNumbers)
+{
+    // With --once a regressed check renders one frame of the
+    // committed snapshot and exits 0 instead of following forever.
+    for (const char *flags : {"--frames -1", "--interval-ms -1",
+                              "--frames 2x", "--interval-ms 0"}) {
+        const auto [code, out] =
+            run(topBin() + " " + PRISM_METRICS_GOLDEN_DEFAULT +
+                " --once " + flags);
+        EXPECT_EQ(code, 2) << flags << ": " << out;
+    }
+    const auto [code, out] =
+        run(topBin() + " " + PRISM_METRICS_GOLDEN_DEFAULT +
+            " --once --frames 3 --interval-ms 10");
+    EXPECT_EQ(code, 0) << out;
+}
+
 TEST(LiveCli, TopExitsTwoOnMissingFile)
 {
     const auto [code, out] =
@@ -183,16 +204,18 @@ TEST(LiveCli, MetricsEveryWithoutAnOutputIsAUsageError)
 
 TEST(LiveCli, OutOfRangeServeFlagsAreUsageErrors)
 {
-    // Each value was once truncated, wrapped or let through to crash
-    // mid-run. Every run is tiny, so a regressed check stays cheap:
-    // 4294967297 truncates to 1, and 3000000000 shards wrap to 0.
+    // Each value was once truncated, wrapped, read leniently or let
+    // through to crash mid-run. Every run is tiny, so a regressed
+    // check stays cheap: 4294967297 truncates to 1, 3000000000 shards
+    // wrap to 0, and a seed of -1 wraps to 2^64-1.
     const char *const bad[] = {
         "--shards 3000000000",      "--shards 4294967297",
         "--streams 4294967297",     "--batch 4294967297",
         "--threads 4294967297",     "--capacity-mb 17592186044416",
         "--zipf nan",               "--zipf inf",
         "--seconds nan",            "--seconds inf",
-        "--seconds 1e300",
+        "--seconds 1e300",          "--seed -1",
+        "--seed +7",                "--seed ' 7'",
     };
     for (const char *flags : bad) {
         const auto [code, out] =

@@ -41,8 +41,9 @@ TEST(Profiles, ParametersAreSane)
         EXPECT_GE(p.mlp, 1.0) << name;
         EXPECT_GT(p.locality.workingSetBlocks, 0u) << name;
         EXPECT_GT(p.locality.theta, 0.0) << name;
-        if (p.locality.loopFrac > 0)
+        if (p.locality.loopFrac > 0) {
             EXPECT_GT(p.locality.loopBlocks, 0u) << name;
+        }
     }
 }
 

@@ -247,14 +247,17 @@ expectStateEqual(SharedCache &cache, const RefCache &ref,
         ASSERT_EQ(soa.tag[i], b.tag) << "frame " << i;
         ASSERT_EQ(soa.owner[i], b.owner) << "frame " << i;
         ASSERT_EQ(soa.dirty[i] != 0, b.dirty) << "frame " << i;
-        if (cfg.repl == ReplKind::RRIP)
+        if (cfg.repl == ReplKind::RRIP) {
             ASSERT_EQ(soa.rrpv[i], b.rrpv) << "frame " << i;
+        }
     }
-    for (std::uint32_t s = 0; s < cache.numSets(); ++s)
-        if (cfg.repl != ReplKind::RRIP)
+    for (std::uint32_t s = 0; s < cache.numSets(); ++s) {
+        if (cfg.repl != ReplKind::RRIP) {
             ASSERT_EQ(cache.setView(s).state.order, ref.order(s))
                 << "set " << s << " recency order at access "
                 << at_access;
+        }
+    }
     for (CoreId c = 0; c < cfg.numCores; ++c)
         ASSERT_EQ(cache.occupancy(c), ref.occupancy(c))
             << "core " << c << " occupancy at access " << at_access;

@@ -97,4 +97,10 @@ TEST(TraceGenerator, BadTokenIsFatal)
 {
     TempTrace t("123\nnot_a_number\n");
     EXPECT_DEATH(TraceFileGenerator(t.path, 0), "bad address");
+    // A sign or trailing junk is refused, not wrapped or truncated.
+    for (const char *bad : {"-5\n", "12abc\n", "0x\n"}) {
+        TempTrace u(bad);
+        EXPECT_DEATH(TraceFileGenerator(u.path, 0), "bad address")
+            << bad;
+    }
 }

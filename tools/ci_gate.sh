@@ -18,8 +18,10 @@ build=${1:-"$repo/build"}
 tolerance=${TOLERANCE:-0}
 
 echo "== configure =="
+# Warnings are errors here (the default build only reports them);
+# a CMAKE_CXX_FLAGS in CMAKE_ARGS replaces this one.
 # shellcheck disable=SC2086 # CMAKE_ARGS is intentionally word-split
-cmake -B "$build" -S "$repo" ${CMAKE_ARGS:-}
+cmake -B "$build" -S "$repo" -DCMAKE_CXX_FLAGS=-Werror ${CMAKE_ARGS:-}
 
 echo "== build =="
 cmake --build "$build" -j

@@ -22,11 +22,15 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/stop_signal.hh"
 #include "figures.hh"
 
 namespace
 {
+
+/** Worker cap for --threads, the same as prism_serve's. */
+constexpr unsigned kMaxThreads = 1024;
 
 int
 usage(std::ostream &os, const char *argv0)
@@ -35,7 +39,7 @@ usage(std::ostream &os, const char *argv0)
        << "\n"
        << "  --all          run every listed figure\n"
        << "  --list         print the figure ids and exit\n"
-       << "  --threads N    parallel sweep workers (default 1)\n"
+       << "  --threads N    parallel sweep workers, 1-1024 (default 1)\n"
        << "  --out DIR      directory for BENCH_*.json (default .)\n"
        << "  --no-json      tables only\n"
        << "  --no-timing    omit wall-clock JSON fields\n"
@@ -99,6 +103,22 @@ usage(std::ostream &os, const char *argv0)
     return &os == &std::cerr ? 2 : 0;
 }
 
+/** Diagnose a usage error and exit with code 2. */
+[[noreturn]] void
+cliError(const std::string &msg)
+{
+    std::cerr << "prism_bench: " << msg << "\n";
+    std::exit(2);
+}
+
+/** cliError() unless @p st is ok. */
+void
+check(const prism::Status &st)
+{
+    if (!st.ok())
+        cliError(st.message());
+}
+
 void
 list(std::ostream &os)
 {
@@ -113,6 +133,7 @@ int
 main(int argc, char **argv)
 {
     using namespace prism::bench;
+    namespace cli = prism::cli;
 
     FigureRunOptions options;
     bool run_all = false;
@@ -121,10 +142,8 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << arg << "\n";
-                std::exit(2);
-            }
+            if (i + 1 >= argc)
+                cliError("missing value for " + arg);
             return argv[++i];
         };
         if (arg == "--help" || arg == "-h") {
@@ -135,8 +154,8 @@ main(int argc, char **argv)
         } else if (arg == "--all") {
             run_all = true;
         } else if (arg == "--threads") {
-            options.threads =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            check(cli::parseUnsigned(arg, value(), options.threads, 1,
+                                     kMaxThreads));
         } else if (arg == "--out") {
             options.outDir = value();
         } else if (arg == "--no-json") {
@@ -148,12 +167,8 @@ main(int argc, char **argv)
         } else if (arg == "--trace-csv") {
             options.traceCsvPath = value();
         } else if (arg == "--trace-capacity") {
-            const long n = std::atol(value().c_str());
-            if (n <= 0) {
-                std::cerr << "--trace-capacity must be at least 1\n";
-                return 2;
-            }
-            options.traceCapacity = static_cast<std::size_t>(n);
+            check(cli::parseUnsigned(arg, value(),
+                                     options.traceCapacity, 1));
         } else if (arg == "--progress") {
             options.progress = true;
         } else if (arg == "--doctor") {
@@ -166,36 +181,28 @@ main(int argc, char **argv)
         } else if (arg == "--metrics-prom") {
             options.metricsPromPath = value();
         } else if (arg == "--metrics-every") {
-            options.metricsEvery =
-                std::strtoull(value().c_str(), nullptr, 10);
+            check(cli::parseUnsigned(arg, value(), options.metricsEvery));
         } else if (arg == "--no-supervise") {
             options.supervise = false;
         } else if (arg == "--retries") {
-            options.retries =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            check(cli::parseUnsigned(arg, value(), options.retries));
         } else if (arg == "--deadline") {
-            options.deadlineSeconds = std::atof(value().c_str());
+            check(cli::parseDouble(arg, value(), options.deadlineSeconds,
+                                   0.0));
         } else if (arg == "--chaos") {
             options.chaosSpec = value();
         } else if (arg == "--chaos-seed") {
-            options.chaosSeed =
-                std::strtoull(value().c_str(), nullptr, 10);
+            check(cli::parseUnsigned(arg, value(), options.chaosSeed));
         } else if (arg == "--ckpt") {
             options.ckptPath = value();
         } else if (arg == "--ckpt-every") {
-            const long n = std::atol(value().c_str());
-            if (n <= 0) {
-                std::cerr << "--ckpt-every must be at least 1\n";
-                return 2;
-            }
-            options.ckptEvery = static_cast<unsigned>(n);
+            check(cli::parseUnsigned(arg, value(), options.ckptEvery, 1));
         } else if (arg == "--resume") {
             options.resume = true;
         } else if (arg == "--die-after") {
             // Undocumented test hook: SIGKILL after the Nth executed
             // job's checkpoint flush (tests/test_resume.cc).
-            options.dieAfter =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            check(cli::parseUnsigned(arg, value(), options.dieAfter));
         } else if (!arg.empty() && arg[0] == '-') {
             std::cerr << "unknown option '" << arg << "'\n";
             return usage(std::cerr, argv[0]);

@@ -43,6 +43,7 @@
 #include "analysis/run_spec.hh"
 #include "analysis/series.hh"
 #include "common/atomic_file.hh"
+#include "common/cli.hh"
 #include "exec/checkpoint.hh"
 
 using namespace prism;
@@ -295,15 +296,16 @@ main(int argc, char **argv)
         } else if (arg == "--compare") {
             opt.compare = true;
         } else if (arg == "--tolerance") {
+            // X or NAME=X; X is finite and >= 0, so NaN or inf can
+            // never turn a failing comparison into a pass.
             const std::string v = value();
             const std::size_t eq = v.find('=');
             const std::string num =
                 eq == std::string::npos ? v : v.substr(eq + 1);
-            char *end = nullptr;
-            const double tol = std::strtod(num.c_str(), &end);
-            if (num.empty() || end != num.c_str() + num.size() ||
-                tol < 0.0)
-                cliError("invalid tolerance '" + v + "'");
+            double tol = 0.0;
+            if (const Status st = cli::parseDouble(arg, num, tol, 0.0);
+                !st.ok())
+                cliError(st.message());
             if (eq == std::string::npos)
                 opt.compare_opts.relTolerance = tol;
             else

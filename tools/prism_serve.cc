@@ -25,7 +25,6 @@
  * 2 usage or input error.
  */
 
-#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -37,6 +36,7 @@
 #include "analysis/online_doctor.hh"
 #include "analysis/series.hh"
 #include "common/atomic_file.hh"
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "common/stop_signal.hh"
 #include "serve/serve_engine.hh"
@@ -108,41 +108,12 @@ cliError(const std::string &msg)
     std::exit(2);
 }
 
-std::uint64_t
-parseU64Arg(const std::string &arg, const std::string &value)
+/** cliError() unless @p st is ok. */
+void
+check(const Status &st)
 {
-    try {
-        std::size_t pos = 0;
-        const std::uint64_t v = std::stoull(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        cliError("invalid value '" + value + "' for " + arg);
-    }
-}
-
-/** A count in [1, @p max], rejected rather than truncated. */
-std::uint32_t
-parseCountArg(const std::string &arg, const std::string &value,
-              std::uint32_t max)
-{
-    const std::uint64_t v = parseU64Arg(arg, value);
-    if (v == 0 || v > max)
-        cliError(arg + " must be in [1, " + std::to_string(max) + "]");
-    return static_cast<std::uint32_t>(v);
-}
-
-/** A finite number (NaN and infinities are rejected). */
-double
-parseDoubleArg(const std::string &arg, const std::string &value)
-{
-    char *end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (value.empty() || end != value.c_str() + value.size() ||
-        !std::isfinite(v))
-        cliError("invalid value '" + value + "' for " + arg);
-    return v;
+    if (!st.ok())
+        cliError(st.message());
 }
 
 } // namespace
@@ -170,35 +141,31 @@ main(int argc, char **argv)
             usage(std::cout);
             return 0;
         } else if (arg == "--tenants") {
-            num_tenants = parseU64Arg(arg, value());
-            if (num_tenants == 0 || num_tenants > 256)
-                cliError("--tenants must be in [1, 256]");
+            check(cli::parseUnsigned(arg, value(), num_tenants, 1, 256));
         } else if (arg == "--tenant") {
             tenant_specs.push_back(value());
         } else if (arg == "--keys") {
-            base.keys = parseU64Arg(arg, value());
+            check(cli::parseUnsigned(arg, value(), base.keys));
         } else if (arg == "--zipf") {
-            base.zipf = parseDoubleArg(arg, value());
+            check(cli::parseDouble(arg, value(), base.zipf));
         } else if (arg == "--threads") {
-            config.threads = parseCountArg(arg, value(),
-                                           ServeConfig::kMaxThreads);
+            check(cli::parseUnsigned(arg, value(), config.threads, 1,
+                                     ServeConfig::kMaxThreads));
         } else if (arg == "--streams") {
-            config.streams =
-                parseCountArg(arg, value(), 0xFFFFFFFFu);
+            check(cli::parseUnsigned(arg, value(), config.streams, 1));
         } else if (arg == "--shards") {
-            config.shards = parseCountArg(arg, value(),
-                                          ServeConfig::kMaxShards);
+            check(cli::parseUnsigned(arg, value(), config.shards, 1,
+                                     ServeConfig::kMaxShards));
         } else if (arg == "--batch") {
-            config.batch = parseCountArg(arg, value(), 0xFFFFFFFFu);
+            check(cli::parseUnsigned(arg, value(), config.batch, 1));
         } else if (arg == "--capacity-mb") {
-            const std::uint64_t mb = parseU64Arg(arg, value());
-            if (mb == 0 || mb > (~std::uint64_t{0} >> 20))
-                cliError("--capacity-mb must be in [1, " +
-                         std::to_string(~std::uint64_t{0} >> 20) +
-                         "]");
+            std::uint64_t mb = 0;
+            check(cli::parseUnsigned(arg, value(), mb, 1,
+                                     ~std::uint64_t{0} >> 20));
             config.capacityBytes = mb << 20;
         } else if (arg == "--interval") {
-            config.intervalMisses = parseU64Arg(arg, value());
+            check(cli::parseUnsigned(arg, value(),
+                                     config.intervalMisses));
         } else if (arg == "--policy") {
             const std::string v = value();
             if (v.size() != 1 ||
@@ -206,18 +173,14 @@ main(int argc, char **argv)
                 cliError("--policy must be H, F or Q");
             config.policy = v[0];
         } else if (arg == "--seconds") {
-            config.seconds = parseDoubleArg(arg, value());
-            if (config.seconds <= 0.0 ||
-                config.seconds > ServeConfig::kMaxSeconds)
-                cliError("--seconds must be positive and at most " +
-                         std::to_string(static_cast<std::uint64_t>(
-                             ServeConfig::kMaxSeconds)));
+            check(cli::parseDouble(arg, value(), config.seconds, 0.0,
+                                   ServeConfig::kMaxSeconds));
+            if (config.seconds == 0.0)
+                cliError("--seconds must be positive");
         } else if (arg == "--ops") {
-            config.opBudget = parseU64Arg(arg, value());
-            if (config.opBudget == 0)
-                cliError("--ops must be positive");
+            check(cli::parseUnsigned(arg, value(), config.opBudget, 1));
         } else if (arg == "--seed") {
-            config.seed = parseU64Arg(arg, value());
+            check(cli::parseUnsigned(arg, value(), config.seed));
         } else if (arg == "--json") {
             json_path = value();
         } else if (arg == "--no-timing") {
@@ -233,12 +196,10 @@ main(int argc, char **argv)
             if (live.metricsPromPath.empty())
                 cliError("--metrics-prom needs a path");
         } else if (arg == "--metrics-every") {
-            live.metricsEvery = parseU64Arg(arg, value());
+            check(cli::parseUnsigned(arg, value(), live.metricsEvery));
         } else if (arg == "--window") {
-            live.windowCapacity = static_cast<std::size_t>(
-                parseU64Arg(arg, value()));
-            if (live.windowCapacity == 0)
-                cliError("--window must be positive");
+            check(cli::parseUnsigned(arg, value(), live.windowCapacity,
+                                     1));
         } else if (arg == "--live-doctor") {
             live.onlineDoctor = true;
         } else if (arg == "--quiet") {

@@ -13,22 +13,25 @@
  *   prism_sim --checked --faults nan@2,occ@3 --stats
  *   prism_sim --list-benchmarks
  *
+ * The run flags (everything but the output and listing flags) are
+ * parsed by analysis::parseRunSpec, the parser behind
+ * `prism_doctor --run`, so the two tools accept the same runs.
+ *
  * Exit codes: 0 success, 1 runtime failure, 2 usage/configuration
  * error (unknown flag, malformed number, invalid machine, bad fault
  * spec).
  */
 
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "analysis/run_spec.hh"
 #include "common/atomic_file.hh"
-#include "common/fixed_point.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
-#include "fault/fault_injector.hh"
 #include "sim/runner.hh"
 #include "telemetry/trace_writer.hh"
 #include "workload/profiles.hh"
@@ -38,22 +41,9 @@ using namespace prism;
 namespace
 {
 
+/** The output flags; the run itself is an analysis::RunSpec. */
 struct Options
 {
-    unsigned cores = 4;
-    bool cores_set = false;
-    std::string workload;
-    std::string mix;
-    std::string scheme = "PriSM-H";
-    std::string repl = "LRU";
-    std::uint64_t instr = 1'500'000;
-    std::uint64_t warmup = 500'000;
-    std::uint64_t interval = 0;
-    std::uint64_t seed = 0x5EED0001ULL;
-    unsigned bits = 0;
-    double qos_frac = 0.8;
-    std::string faults;
-    bool checked = false;
     bool csv = false;
     bool stats = false;
     std::string stats_json;
@@ -116,67 +106,6 @@ cliError(const std::string &msg)
     std::exit(2);
 }
 
-std::uint64_t
-parseU64(const std::string &flag, const std::string &text)
-{
-    std::uint64_t v = 0;
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(text.data(), end, v);
-    if (text.empty() || res.ec != std::errc() || res.ptr != end)
-        cliError("invalid number '" + text + "' for " + flag);
-    return v;
-}
-
-unsigned
-parseUnsigned(const std::string &flag, const std::string &text)
-{
-    const std::uint64_t v = parseU64(flag, text);
-    if (v > 0xFFFFFFFFull)
-        cliError("value '" + text + "' for " + flag +
-                 " is out of range");
-    return static_cast<unsigned>(v);
-}
-
-double
-parseDouble(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (text.empty() || end != text.c_str() + text.size())
-        cliError("invalid number '" + text + "' for " + flag);
-    return v;
-}
-
-SchemeKind
-parseScheme(const std::string &name)
-{
-    SchemeKind kind;
-    if (!schemeFromName(name, kind))
-        cliError("unknown scheme '" + name + "'");
-    return kind;
-}
-
-ReplKind
-parseRepl(const std::string &name)
-{
-    ReplKind kind;
-    if (!replFromName(name, kind))
-        cliError("unknown replacement policy '" + name + "'");
-    return kind;
-}
-
-std::vector<std::string>
-splitMix(const std::string &mix)
-{
-    std::vector<std::string> out;
-    std::istringstream in(mix);
-    std::string item;
-    while (std::getline(in, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
 void
 listBenchmarks()
 {
@@ -225,6 +154,7 @@ int
 main(int argc, char **argv)
 {
     Options opt;
+    std::vector<std::string> run_args;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> std::string {
@@ -241,38 +171,6 @@ main(int argc, char **argv)
         } else if (arg == "--list-workloads") {
             listWorkloads();
             return 0;
-        } else if (arg == "--cores") {
-            opt.cores = parseUnsigned(arg, value());
-            opt.cores_set = true;
-        } else if (arg == "--workload") {
-            opt.workload = value();
-        } else if (arg == "--mix") {
-            opt.mix = value();
-        } else if (arg == "--scheme") {
-            opt.scheme = value();
-        } else if (arg == "--repl") {
-            opt.repl = value();
-        } else if (arg == "--instr") {
-            opt.instr = parseU64(arg, value());
-        } else if (arg == "--warmup") {
-            opt.warmup = parseU64(arg, value());
-        } else if (arg == "--interval") {
-            opt.interval = parseU64(arg, value());
-        } else if (arg == "--seed") {
-            opt.seed = parseU64(arg, value());
-        } else if (arg == "--bits") {
-            opt.bits = parseUnsigned(arg, value());
-            if (opt.bits > FixedPointCodec::kMaxBits)
-                cliError("--bits must be 0 (float) or 1-" +
-                         std::to_string(FixedPointCodec::kMaxBits));
-        } else if (arg == "--qos-frac") {
-            opt.qos_frac = parseDouble(arg, value());
-            if (!(opt.qos_frac >= 0.0 && opt.qos_frac <= 1.0))
-                cliError("--qos-frac must be a fraction in [0, 1]");
-        } else if (arg == "--faults") {
-            opt.faults = value();
-        } else if (arg == "--checked") {
-            opt.checked = true;
         } else if (arg == "--csv") {
             opt.csv = true;
         } else if (arg == "--stats") {
@@ -284,75 +182,24 @@ main(int argc, char **argv)
         } else if (arg == "--trace-csv") {
             opt.trace_csv = value();
         } else if (arg == "--trace-capacity") {
-            opt.trace_capacity = parseU64(arg, value());
-            if (opt.trace_capacity == 0)
-                cliError("--trace-capacity must be at least 1");
+            if (const Status st = cli::parseUnsigned(
+                    arg, value(), opt.trace_capacity, 1);
+                !st.ok())
+                cliError(st.message());
         } else if (arg == "--trace-wall") {
             opt.trace_wall = true;
         } else {
-            cliError("unknown option '" + arg + "'");
+            run_args.push_back(arg);
         }
     }
 
-    // Validate enumerated names and the fault spec up front so a typo
-    // is a usage error, not a failure half-way into a long run.
-    const SchemeKind scheme_kind = parseScheme(opt.scheme);
-    const ReplKind repl_kind = parseRepl(opt.repl);
-    if (!opt.faults.empty()) {
-        std::vector<FaultClause> clauses;
-        const Status st = parseFaultSpec(opt.faults, clauses);
-        if (!st.ok())
-            cliError(st.message());
-    }
+    analysis::RunSpec spec;
+    if (const Status st = analysis::parseRunSpec(run_args, spec);
+        !st.ok())
+        cliError(st.message());
+    const Workload &workload = spec.workload;
+    SchemeOptions &scheme_opt = spec.options;
 
-    // Resolve the workload.
-    Workload workload;
-    if (!opt.mix.empty()) {
-        workload.name = "custom";
-        workload.benchmarks = splitMix(opt.mix);
-        if (workload.benchmarks.empty())
-            cliError("--mix lists no benchmarks");
-        if (opt.cores_set &&
-            workload.benchmarks.size() != opt.cores)
-            cliError("--mix lists " +
-                     std::to_string(workload.benchmarks.size()) +
-                     " benchmarks but --cores asked for " +
-                     std::to_string(opt.cores));
-        opt.cores = static_cast<unsigned>(workload.benchmarks.size());
-    } else if (!opt.workload.empty()) {
-        if (!suites::find(opt.workload, workload))
-            cliError("unknown workload '" + opt.workload + "'");
-        opt.cores = static_cast<unsigned>(workload.benchmarks.size());
-    } else {
-        if (opt.cores != 4 && opt.cores != 8 && opt.cores != 16 &&
-            opt.cores != 32)
-            cliError("--cores must be 4, 8, 16 or 32 (got " +
-                     std::to_string(opt.cores) + ")");
-        workload = suites::forCoreCount(opt.cores).front();
-    }
-
-    MachineConfig machine = MachineConfig::forCores(opt.cores);
-    machine.instrBudget = opt.instr;
-    machine.warmupInstr = opt.warmup;
-    if (opt.interval)
-        machine.intervalMisses = opt.interval;
-    machine.seed = opt.seed;
-    machine.repl = repl_kind;
-
-    // Catch impossible machines here, with one actionable message per
-    // problem, instead of failing deep inside cache construction.
-    if (const auto errors = machine.validate(); !errors.empty()) {
-        std::cerr << "prism_sim: invalid configuration:\n";
-        for (const auto &e : errors)
-            std::cerr << "  - " << e << "\n";
-        return 2;
-    }
-
-    SchemeOptions scheme_opt;
-    scheme_opt.probBits = opt.bits;
-    scheme_opt.qosTargetFrac = opt.qos_frac;
-    scheme_opt.faultSpec = opt.faults;
-    scheme_opt.checked = opt.checked;
     std::ostringstream stats;
     if (opt.stats)
         scheme_opt.statsSink = &stats;
@@ -370,9 +217,9 @@ main(int argc, char **argv)
         scheme_opt.telemetry.metrics = &metrics;
     }
 
-    Runner runner(machine);
+    Runner runner(spec.machine);
     const RunResult res =
-        runner.run(workload, scheme_kind, scheme_opt);
+        runner.run(workload, spec.scheme, scheme_opt);
 
     if (!opt.stats_json.empty()) {
         if (const Status st =
@@ -443,8 +290,9 @@ main(int argc, char **argv)
         t.printCsv(std::cout);
     } else {
         std::cout << "workload " << workload.name << " on "
-                  << opt.cores << " cores, scheme " << res.scheme
-                  << ", repl " << opt.repl << "\n\n";
+                  << spec.machine.numCores << " cores, scheme "
+                  << res.scheme << ", repl "
+                  << replKindName(spec.machine.repl) << "\n\n";
         t.print(std::cout);
         std::cout << "\nANTT " << Table::num(res.antt())
                   << " (lower is better), fairness "
@@ -455,7 +303,7 @@ main(int argc, char **argv)
                       << " recomputations, victimless fraction "
                       << Table::pct(res.victimlessFraction) << "\n";
     }
-    if (opt.checked || !opt.faults.empty()) {
+    if (scheme_opt.checked || !scheme_opt.faultSpec.empty()) {
         std::cout << "robustness: " << res.faultsInjected
                   << " faults injected, " << res.degradedIntervals
                   << " degraded intervals, " << res.invariantViolations

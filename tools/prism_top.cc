@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "common/status.hh"
 #include "common/table.hh"
@@ -61,18 +62,12 @@ cliError(const std::string &msg)
     std::exit(2);
 }
 
-std::uint64_t
-parseU64Arg(const std::string &arg, const std::string &value)
+/** cliError() unless @p st is ok. */
+void
+check(const Status &st)
 {
-    try {
-        std::size_t pos = 0;
-        const std::uint64_t v = std::stoull(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        cliError("invalid value '" + value + "' for " + arg);
-    }
+    if (!st.ok())
+        cliError(st.message());
 }
 
 Status
@@ -221,13 +216,9 @@ main(int argc, char **argv)
         } else if (arg == "--once") {
             once = true;
         } else if (arg == "--frames") {
-            frames = parseU64Arg(arg, value());
-            if (frames == 0)
-                cliError("--frames must be positive");
+            check(cli::parseUnsigned(arg, value(), frames, 1));
         } else if (arg == "--interval-ms") {
-            interval_ms = parseU64Arg(arg, value());
-            if (interval_ms == 0)
-                cliError("--interval-ms must be positive");
+            check(cli::parseUnsigned(arg, value(), interval_ms, 1));
         } else if (!arg.empty() && arg[0] == '-') {
             cliError("unknown option '" + arg + "'");
         } else if (path.empty()) {
