@@ -5,7 +5,8 @@
  * Every figure in the registry (figures.hh) regenerates one
  * table/figure of the paper. Run lengths are scaled for laptop
  * execution (see EXPERIMENTS.md); two environment variables widen
- * the sweep, and a malformed value of either is fatal:
+ * the sweep; a malformed value of either is a usage error (exit 2)
+ * that prism_bench reports before any output:
  *
  *   PRISM_BENCH_SCALE      multiply instruction budgets (default 1;
  *                          0 also means 1)
@@ -30,27 +31,46 @@
 namespace prism::bench
 {
 
+/**
+ * Parse PRISM_BENCH_SCALE and PRISM_BENCH_WORKLOADS into @p scale
+ * and @p cap (defaults when unset). prism_bench calls this in its
+ * argument stage, so a malformed value is a usage error before any
+ * output.
+ */
+inline Status
+benchEnvironment(double &scale, unsigned &cap)
+{
+    scale = 1.0;
+    cap = 6;
+    if (const char *env = std::getenv("PRISM_BENCH_SCALE"))
+        if (Status st = cli::parseDouble("PRISM_BENCH_SCALE", env,
+                                         scale, 0.0, 1e12);
+            !st.ok())
+            return st;
+    if (scale <= 0)
+        scale = 1.0;
+    if (const char *env = std::getenv("PRISM_BENCH_WORKLOADS"))
+        return cli::parseUnsigned("PRISM_BENCH_WORKLOADS", env, cap);
+    return Status();
+}
+
 inline double
 scaleFactor()
 {
-    double s = 1.0;
-    if (const char *env = std::getenv("PRISM_BENCH_SCALE"))
-        if (const Status st = cli::parseDouble("PRISM_BENCH_SCALE", env,
-                                               s, 0.0, 1e12);
-            !st.ok())
-            fatal(st.message());
-    return s > 0 ? s : 1.0;
+    double scale = 1.0;
+    unsigned cap = 0;
+    if (const Status st = benchEnvironment(scale, cap); !st.ok())
+        fatal(st.message());
+    return scale;
 }
 
 inline unsigned
 workloadCap()
 {
-    unsigned cap = 6;
-    if (const char *env = std::getenv("PRISM_BENCH_WORKLOADS"))
-        if (const Status st =
-                cli::parseUnsigned("PRISM_BENCH_WORKLOADS", env, cap);
-            !st.ok())
-            fatal(st.message());
+    double scale = 1.0;
+    unsigned cap = 0;
+    if (const Status st = benchEnvironment(scale, cap); !st.ok())
+        fatal(st.message());
     return cap;
 }
 

@@ -15,9 +15,10 @@
  *   occupancy bookkeeping or interval cadence shows up here.
  * - The *timing* phase continues the same stream in chunks under a
  *   monotonic clock and reports rates. Timing numbers are
- *   machine-dependent and never part of the golden; gates on them
- *   are ratio-based (same-binary A/B) or against the recorded
- *   baseline in micro_baseline.hh.
+ *   machine-dependent and never part of the golden; the gates on
+ *   them are same-binary A/B ratios only, so they mean the same on
+ *   every host: the O(1) sampler against the inverse-CDF walk, and
+ *   the SoA cache against the AoS reference model (ref_cache.hh).
  *
  * The 4- and 32-core mixes mirror the paper's configurations: the
  * 32-core mix runs the 16 MB / 64-way LLC of the scalability study
@@ -34,15 +35,31 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "cache/shared_cache.hh"
 #include "common/rng.hh"
 #include "plane/alias_sampler.hh"
 #include "prism/alloc_hitmax.hh"
 #include "prism/prism_scheme.hh"
+#include "ref_cache.hh"
 
 namespace prism::microbench
 {
+
+/**
+ * Gate: SoA SharedCache accesses/sec over the AoS reference model's
+ * on the 32-core mix's geometry and stream, same binary, identical
+ * results. The seed tree ran per-block AoS metadata; the SoA layout
+ * must keep at least this margin over it.
+ */
+inline constexpr double minAccessSpeedupVsReference = 1.8;
+
+/**
+ * Gate: O(1) sampler vs the seed's O(n) inverse-CDF walk at 32
+ * cores, same binary, same draws. Algorithmic, machine-independent.
+ */
+inline constexpr double minSamplerSpeedup32 = 10.0;
 
 /** Fold one access outcome into the running behaviour checksum. */
 inline std::uint64_t
@@ -62,33 +79,46 @@ inline constexpr std::uint64_t checksumSeed = 0xCBF29CE484222325ULL;
 inline constexpr std::uint64_t contractAccesses = 2'000'000;
 
 /**
+ * The LLC of the @p n-core mix: 32 cores select the paper's 16 MB /
+ * 64-way scalability configuration, anything else the 4 MB / 16-way
+ * quad.
+ */
+inline CacheConfig
+mixConfig(std::uint32_t n)
+{
+    CacheConfig cfg;
+    cfg.sizeBytes = n == 32 ? 16ull << 20 : 4ull << 20;
+    cfg.ways = n == 32 ? 64 : 16;
+    cfg.blockBytes = 64;
+    cfg.numCores = n;
+    cfg.seed = 1;
+    return cfg;
+}
+
+/** Blocks each core of a mix draws from: twice its fair share. */
+inline std::uint64_t
+mixFootprint(const CacheConfig &cfg)
+{
+    return 2 * (cfg.numBlocks() / cfg.numCores);
+}
+
+/**
  * The pinned mix: a PriSM-HitMax cache under a uniform multi-core
- * stream. 32 cores select the paper's 16 MB / 64-way scalability
- * configuration; anything else the 4 MB / 16-way quad.
+ * stream on mixConfig()'s LLC.
  */
 struct MixBench
 {
     std::uint32_t cores;
     CacheConfig cfg;
+    std::uint64_t footprint_blocks;
     std::unique_ptr<PrismScheme> scheme;
     std::unique_ptr<SharedCache> cache;
     Rng stream{42};
-    std::uint64_t footprint_blocks;
 
-    explicit MixBench(std::uint32_t n) : cores(n)
+    explicit MixBench(std::uint32_t n)
+        : cores(n), cfg(mixConfig(n)),
+          footprint_blocks(mixFootprint(cfg))
     {
-        cfg = CacheConfig{};
-        if (n == 32) {
-            cfg.sizeBytes = 16ull << 20;
-            cfg.ways = 64;
-        } else {
-            cfg.sizeBytes = 4ull << 20;
-            cfg.ways = 16;
-        }
-        cfg.blockBytes = 64;
-        cfg.numCores = n;
-        cfg.seed = 1;
-        footprint_blocks = 2 * (cfg.numBlocks() / n);
         scheme = std::make_unique<PrismScheme>(
             n, std::make_unique<HitMaxPolicy>(), 7);
         cache = std::make_unique<SharedCache>(cfg);
@@ -150,6 +180,85 @@ measureAccessRate(MixBench &b, double min_seconds,
                       .count();
     } while (elapsed < min_seconds);
     return static_cast<double>(timed) / elapsed;
+}
+
+/** Outcome of the SoA-vs-reference access A/B. */
+struct ReferenceRates
+{
+    double soaPerSec = 0.0;
+    double referencePerSec = 0.0;
+    /** Every timed access agreed between the two caches. */
+    bool resultsIdentical = true;
+};
+
+/**
+ * Same-binary A/B of the LLC access path: SharedCache (SoA metadata,
+ * LRU, no scheme) against the AoS reference model with the same
+ * geometry and @p cores-mix stream. @p warmup accesses run untimed
+ * first, so the rates are the steady state's, not the cold fill's.
+ * The stream is pre-drawn chunk by chunk so RNG cost stays out of
+ * both sides, and the two sides alternate chunks so both see the
+ * same host conditions. Their outcome checksums must agree after
+ * every chunk, so the speedup can never come from diverging
+ * behaviour.
+ */
+inline ReferenceRates
+measureReferenceAccess(std::uint32_t cores, double min_seconds,
+                       std::uint64_t warmup)
+{
+    CacheConfig cfg = mixConfig(cores);
+    cfg.repl = ReplKind::LRU;
+    const std::uint64_t footprint = mixFootprint(cfg);
+    SharedCache soa(cfg);
+    RefCache ref(cfg);
+
+    struct Access
+    {
+        CoreId core;
+        Addr addr;
+    };
+    constexpr std::size_t kChunk = 100'000;
+    std::vector<Access> chunk(kChunk);
+    Rng stream(42);
+
+    const auto draw = [&] {
+        for (Access &a : chunk) {
+            a.core = static_cast<CoreId>(stream.below(cores));
+            a.addr = (static_cast<Addr>(a.core) << 32) +
+                     stream.below(footprint);
+        }
+    };
+
+    // Replays the chunk through one side; returns its wall seconds.
+    const auto replay = [&chunk](auto &cache, std::uint64_t &sum) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (const Access &a : chunk)
+            sum = foldAccess(
+                sum, cache.access(a.core, a.addr, (a.addr & 7) == 0));
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+            .count();
+    };
+
+    ReferenceRates r;
+    std::uint64_t soa_sum = checksumSeed, ref_sum = checksumSeed;
+    std::uint64_t timed = 0;
+    double soa_s = 0.0, ref_s = 0.0;
+    for (std::uint64_t done = 0;
+         done < warmup || soa_s + ref_s < min_seconds; done += kChunk) {
+        draw();
+        const double soa_chunk_s = replay(soa, soa_sum);
+        const double ref_chunk_s = replay(ref, ref_sum);
+        r.resultsIdentical = r.resultsIdentical && soa_sum == ref_sum;
+        if (done < warmup)
+            continue;
+        soa_s += soa_chunk_s;
+        ref_s += ref_chunk_s;
+        timed += kChunk;
+    }
+    r.soaPerSec = static_cast<double>(timed) / soa_s;
+    r.referencePerSec = static_cast<double>(timed) / ref_s;
+    return r;
 }
 
 /**

@@ -1,6 +1,7 @@
 #include "analysis/series.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 
 namespace prism::analysis
@@ -165,22 +166,32 @@ struct TraceRow
     std::vector<double> evProb;
 };
 
-std::vector<double>
-coreArgs(const JsonValue &args)
+/**
+ * Read a counter event's per-core "cNNN" arguments into @p out, one
+ * slot per argument. An index outside the event's own argument count
+ * (an overflowing or a stray large key) is an error, not a resize.
+ */
+Status
+coreArgs(const JsonValue &args, std::vector<double> &out)
 {
-    std::vector<double> out(args.members().size(), 0.0);
+    const std::size_t n = args.members().size();
+    out.assign(n, 0.0);
     for (const auto &[key, value] : args.members()) {
         if (key.size() < 2 || key[0] != 'c' ||
             key.find_first_not_of("0123456789", 1) !=
                 std::string::npos)
             continue;
-        const std::size_t idx =
-            static_cast<std::size_t>(std::stoul(key.substr(1)));
-        if (idx >= out.size())
-            out.resize(idx + 1, 0.0);
+        std::size_t idx = 0;
+        const std::from_chars_result parsed = std::from_chars(
+            key.data() + 1, key.data() + key.size(), idx);
+        if (parsed.ec != std::errc() || idx >= n)
+            return Status::error("counter argument '" + key +
+                                 "' names a core outside the " +
+                                 std::to_string(n) +
+                                 " argument(s) of its event");
         out[idx] = value.asDouble();
     }
-    return out;
+    return Status();
 }
 
 } // namespace
@@ -214,12 +225,18 @@ seriesFromTraceJson(const JsonValue &doc, std::vector<RunSeries> &out)
         if (ph == "C") {
             const std::uint64_t interval = ev.at("ts").asU64() / 1000;
             TraceRow &row = rows[pid][interval];
-            if (name == "occupancy")
-                row.occupancy = coreArgs(ev.at("args"));
-            else if (name == "target")
-                row.target = coreArgs(ev.at("args"));
-            else if (name == "ev_prob")
-                row.evProb = coreArgs(ev.at("args"));
+            std::vector<double> *dest =
+                name == "occupancy" ? &row.occupancy
+                : name == "target"  ? &row.target
+                : name == "ev_prob" ? &row.evProb
+                                    : nullptr;
+            if (dest != nullptr)
+                if (const Status st = coreArgs(ev.at("args"), *dest);
+                    !st.ok())
+                    return Status::error("event '" + name + "' at ts " +
+                                         std::to_string(
+                                             ev.at("ts").asU64()) +
+                                         ": " + st.message());
             continue;
         }
         if (ph == "i") {

@@ -254,9 +254,7 @@ void
 SharedCache::foldOccupancy()
 {
     for (CoreId c = 0; c < config_.numCores; ++c) {
-        occupancy_[c] = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(occupancy_[c]) +
-            occ_delta_[c].v);
+        occupancy_[c] = addOccupancyDelta(occupancy_[c], occ_delta_[c].v);
         occ_delta_[c].v = 0;
     }
 }

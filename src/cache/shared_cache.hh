@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -210,9 +211,28 @@ class SharedCache
     std::uint64_t
     occupancy(CoreId core) const
     {
-        return static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(occupancy_[core]) +
-            occ_delta_[core].v);
+        return addOccupancyDelta(occupancy_[core], occ_delta_[core].v);
+    }
+
+    /**
+     * @p occ + @p delta clamped to [0, INT64_MAX]. Unfaulted counters
+     * never come near either end; after an `occ` fault an unchecked
+     * run carries an arbitrary counter, which must saturate rather
+     * than overflow.
+     */
+    static std::uint64_t
+    addOccupancyDelta(std::uint64_t occ, std::int64_t delta)
+    {
+        constexpr std::int64_t kMax =
+            std::numeric_limits<std::int64_t>::max();
+        const std::int64_t base =
+            occ > static_cast<std::uint64_t>(kMax)
+                ? kMax
+                : static_cast<std::int64_t>(occ);
+        if (delta > 0 && base > kMax - delta)
+            return static_cast<std::uint64_t>(kMax);
+        const std::int64_t sum = base + delta; // base >= 0: no underflow
+        return sum < 0 ? 0 : static_cast<std::uint64_t>(sum);
     }
 
     double

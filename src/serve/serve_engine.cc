@@ -26,29 +26,44 @@ makeValue(std::vector<std::uint8_t> &buf, const Request &req)
                    req.key ^ (0x5E12C0DEull + req.tenant))));
 }
 
+/** The registry entries the apply tasks fold into, one per tenant. */
+struct LatencySinks
+{
+    /** Sampled latencies ("serve.latency_ns.t<i>"). */
+    std::vector<telemetry::Histogram *> histograms;
+    /** Exact request counts ("serve.requests.t<i>"). */
+    std::vector<telemetry::Counter *> requests;
+};
+
 /**
- * One apply task's latency tallies: plain per-tenant bucket counts
- * that fold() adds to the shared histograms once, when the task
- * ends, so a request writes no cache line another worker writes.
+ * One apply task's tallies: per-tenant bucket counts of the sampled
+ * requests and exact per-tenant request counts, in plain integers
+ * that fold() adds to the registry once, when the task ends, so a
+ * request writes no cache line another worker writes.
  */
 class LatencyTally
 {
   public:
-    explicit LatencyTally(
-        std::span<telemetry::Histogram *const> histograms)
-        : histograms_(histograms),
-          buckets_(histograms.empty() ? 0
-                                      : histograms[0]->numBuckets()),
-          counts_(histograms.size() * buckets_, 0),
-          sums_(histograms.size(), 0)
+    explicit LatencyTally(const LatencySinks &sinks)
+        : sinks_(sinks),
+          buckets_(sinks.histograms.empty()
+                       ? 0
+                       : sinks.histograms[0]->numBuckets()),
+          counts_(sinks.histograms.size() * buckets_, 0),
+          sums_(sinks.histograms.size(), 0),
+          requests_(sinks.requests.size(), 0)
     {
     }
 
+    /** Count one request of @p tenant, timed or not. */
+    void count(std::uint32_t tenant) { ++requests_[tenant]; }
+
+    /** Record one timed request's latency. */
     void
     record(std::uint32_t tenant, std::uint64_t ns)
     {
         ++counts_[tenant * buckets_ +
-                  histograms_[tenant]->bucketOf(
+                  sinks_.histograms[tenant]->bucketOf(
                       static_cast<double>(ns))];
         sums_[tenant] += ns;
     }
@@ -56,21 +71,31 @@ class LatencyTally
     void
     fold() const
     {
-        for (std::size_t t = 0; t < histograms_.size(); ++t)
-            histograms_[t]->addCounts(
+        for (std::size_t t = 0; t < sinks_.histograms.size(); ++t) {
+            sinks_.histograms[t]->addCounts(
                 std::span<const std::uint64_t>(
                     counts_.data() + t * buckets_, buckets_),
                 static_cast<double>(sums_[t]));
+            sinks_.requests[t]->add(requests_[t]);
+        }
     }
 
   private:
-    std::span<telemetry::Histogram *const> histograms_;
+    const LatencySinks &sinks_;
     std::size_t buckets_;
     std::vector<std::uint64_t> counts_;
     std::vector<std::uint64_t> sums_;
+    std::vector<std::uint64_t> requests_;
 };
 
 } // namespace
+
+std::uint32_t
+latencySampleOffset(std::uint32_t shard, std::uint64_t round)
+{
+    return static_cast<std::uint32_t>(
+        Rng::mix64((round << 32) ^ shard) % kLatencySampleEvery);
+}
 
 const char *
 policyName(char kind)
@@ -177,14 +202,19 @@ ServeEngine::run()
         std::max<std::size_t>(1, config_.recorderCapacity));
     result.metrics = std::make_shared<telemetry::MetricsRegistry>();
 
-    // Per-tenant latency histograms: ~0.5us to ~1s in nanoseconds.
-    std::vector<telemetry::Histogram *> latency;
+    // Per-tenant sampled latency histograms (~0.5us to ~1s in
+    // nanoseconds) and exact request counters.
+    LatencySinks latency;
     if (config_.timing) {
         const std::vector<double> bounds =
             telemetry::Histogram::exponentialBounds(512.0, 2.0, 22);
-        for (std::uint32_t t = 0; t < tenants; ++t)
-            latency.push_back(&result.metrics->histogram(
-                "serve.latency_ns.t" + std::to_string(t), bounds));
+        for (std::uint32_t t = 0; t < tenants; ++t) {
+            const std::string suffix = ".t" + std::to_string(t);
+            latency.histograms.push_back(&result.metrics->histogram(
+                "serve.latency_ns" + suffix, bounds));
+            latency.requests.push_back(
+                &result.metrics->counter("serve.requests" + suffix));
+        }
     }
 
     // Mean spec size stands in for the measured mean until the
@@ -403,33 +433,44 @@ ServeEngine::run()
             if (by_shard[k].empty())
                 continue;
             pool.submit([&store, list = &by_shard[k], k, &latency,
+                         round = result.rounds,
                          timing = config_.timing] {
                 std::vector<std::uint8_t> buf;
                 LatencyTally tally(latency); // empty without timing
                 ShardedStore::ShardAccess shard = store.lockShard(k);
-                // One clock read per request: each completion time
-                // starts the next request's latency, and the first
-                // request is timed from task start.
-                auto last = timing ? Clock::now() : Clock::time_point();
-                for (const Request *req : *list) {
-                    if (req->isPut) {
-                        makeValue(buf, *req);
-                        shard.put(req->tenant, req->key, buf);
-                    } else if (!shard.get(req->tenant, req->key).hit) {
+                const auto apply = [&](const Request &req) {
+                    if (req.isPut) {
+                        makeValue(buf, req);
+                        shard.put(req.tenant, req.key, buf);
+                    } else if (!shard.get(req.tenant, req.key).hit) {
                         // Read-through fill: a get miss fetches the
                         // object from the (modelled) backend.
-                        makeValue(buf, *req);
-                        shard.put(req->tenant, req->key, buf);
+                        makeValue(buf, req);
+                        shard.put(req.tenant, req.key, buf);
                     }
-                    if (timing) {
-                        const auto now = Clock::now();
-                        tally.record(
-                            req->tenant,
-                            static_cast<std::uint64_t>(
-                                std::chrono::nanoseconds(now - last)
-                                    .count()));
-                        last = now;
+                };
+                // Sampled timing: every request is counted, and one
+                // position in kLatencySampleEvery is timed with a
+                // clock read on each side of its store call.
+                const std::size_t n = list->size();
+                std::size_t timed =
+                    timing ? latencySampleOffset(k, round) : n;
+                for (std::size_t i = 0; i < n; ++i) {
+                    const Request &req = *(*list)[i];
+                    if (timing)
+                        tally.count(req.tenant);
+                    if (i != timed) {
+                        apply(req);
+                        continue;
                     }
+                    const auto start = Clock::now();
+                    apply(req);
+                    tally.record(req.tenant,
+                                 static_cast<std::uint64_t>(
+                                     std::chrono::nanoseconds(
+                                         Clock::now() - start)
+                                         .count()));
+                    timed += kLatencySampleEvery;
                 }
                 tally.fold();
             });
@@ -713,19 +754,17 @@ writeServeJson(std::ostream &os, const ServeConfig &config,
                  ? static_cast<double>(result.ops) /
                        result.wallSeconds
                  : 0.0);
+        w.kv("latency_sample_every", kLatencySampleEvery);
         w.key("latency_us");
         w.beginArray();
         for (std::size_t t = 0; t < result.tenants.size(); ++t) {
             w.beginObject();
             w.kv("tenant", static_cast<std::uint64_t>(t));
+            const std::string suffix = ".t" + std::to_string(t);
             const telemetry::Histogram *h =
-                result.metrics
-                    ? &const_cast<telemetry::MetricsRegistry &>(
-                           *result.metrics)
-                           .histogram("serve.latency_ns.t" +
-                                          std::to_string(t),
-                                      {})
-                    : nullptr;
+                result.metrics ? &result.metrics->histogram(
+                                     "serve.latency_ns" + suffix, {})
+                               : nullptr;
             const double scale = 1.0 / 1000.0;
             w.kv("p50", h ? h->quantile(0.50) * scale : 0.0);
             w.kv("p95", h ? h->quantile(0.95) * scale : 0.0);
@@ -744,7 +783,11 @@ writeServeJson(std::ostream &os, const ServeConfig &config,
                     buckets[i] = h->bucketCount(i);
                 w.kv("buckets",
                      std::span<const std::uint64_t>(buckets));
+                // count: timed samples; requests: exact.
                 w.kv("count", h->count());
+                w.kv("requests",
+                     result.metrics->counter("serve.requests" + suffix)
+                         .value());
             }
             w.endObject();
         }

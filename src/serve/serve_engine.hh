@@ -56,6 +56,20 @@ class ServeObserver;
 /** Long name of a target policy kind ('H' -> "HitMax", ...). */
 const char *policyName(char kind);
 
+/**
+ * With timing on, each apply task times one request in this many of
+ * its shard slice (docs/SERVING.md, "Request latency").
+ */
+inline constexpr std::uint32_t kLatencySampleEvery = 64;
+
+/**
+ * The timed positions of shard @p shard's slice in round @p round
+ * (counted from 0) are those i with
+ * i % kLatencySampleEvery == latencySampleOffset(shard, round).
+ */
+std::uint32_t latencySampleOffset(std::uint32_t shard,
+                                  std::uint64_t round);
+
 /** Everything a serve run needs to know. */
 struct ServeConfig
 {
@@ -232,7 +246,8 @@ struct ServeResult
     /** Recorded interval series {C, T, E, M, hits, misses}. */
     std::shared_ptr<telemetry::IntervalRecorder> recorder;
 
-    /** Per-tenant latency histograms etc. (timing runs only). */
+    /** Per-tenant sampled latency histograms and exact request
+     *  counters (timing runs only). */
     std::shared_ptr<telemetry::MetricsRegistry> metrics;
 
     /** Wall-clock seconds spent serving; 0 without timing. */

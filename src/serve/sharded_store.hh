@@ -34,9 +34,9 @@
  * objectCount, rehashes) take no lock and are safe to call at any
  * time, but their sums are exact only while no get or put is in
  * flight; the engine reads them only in its sequential sections.
- * The latency the engine records around get/put (timing on) is
- * completion to completion inside one shard task, the task's first
- * request timed from task start: one clock read per request.
+ * With timing on, the engine times one request in 64 of each shard
+ * task, with a clock read on each side of its get/put; untimed
+ * requests read no clock (docs/SERVING.md, "Request latency").
  * Determinism: identical operation sequences per shard produce
  * identical state at any thread count — nothing in a shard depends
  * on global order, only on its own.

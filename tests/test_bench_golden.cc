@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -47,10 +49,11 @@ goldenPath()
     return PRISM_GOLDEN_FILE_DEFAULT;
 }
 
+/** Run prism_bench with @p args, after shell assignments @p env. */
 std::pair<int, std::string>
-run(const std::string &args)
+run(const std::string &args, const std::string &env = "")
 {
-    const std::string cmd = benchBin() + " " + args + " 2>&1";
+    const std::string cmd = env + benchBin() + " " + args + " 2>&1";
     FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr);
     std::string out;
@@ -138,6 +141,41 @@ TEST(BenchGolden, ListIncludesHeadlineFigures)
     EXPECT_NE(out.find("fig13_victimless"), std::string::npos);
     // Hidden fixtures stay out of the listing.
     EXPECT_EQ(out.find("fixture\n"), std::string::npos);
+}
+
+namespace
+{
+
+/**
+ * Run the fixture figure with @p env_var set to each malformed value:
+ * a usage error (exit 2) naming the variable, raised before the
+ * figure header or any job.
+ */
+void
+expectEnvUsageError(const std::string &env_var,
+                    std::initializer_list<const char *> values)
+{
+    for (const char *value : values) {
+        const auto [code, out] =
+            run("fixture --no-json --no-timing",
+                env_var + "='" + value + "' ");
+        EXPECT_EQ(code, 2) << value << ": " << out;
+        EXPECT_NE(out.find(env_var), std::string::npos) << out;
+        EXPECT_EQ(out.find("PriSM reproduction"), std::string::npos)
+            << value << ": " << out;
+    }
+}
+
+} // namespace
+
+TEST(BenchCli, MalformedScaleEnvironmentIsAUsageError)
+{
+    expectEnvUsageError("PRISM_BENCH_SCALE", {"2x", "nan", "-1", ""});
+}
+
+TEST(BenchCli, MalformedWorkloadsEnvironmentIsAUsageError)
+{
+    expectEnvUsageError("PRISM_BENCH_WORKLOADS", {"3q", "-1", "1e3"});
 }
 
 TEST(BenchCli, MalformedNumbersAreUsageErrors)

@@ -34,6 +34,10 @@ namespace
 #define PRISM_BENCH_GOLDEN_DEFAULT \
     "../tests/golden/BENCH_fixture.json"
 #endif
+#ifndef PRISM_TRACE_GOLDEN_DEFAULT
+#define PRISM_TRACE_GOLDEN_DEFAULT \
+    "../tests/golden/TRACE_fixture.json"
+#endif
 
 /** The fixture run the DOCTOR golden was generated from. */
 const char *const kFixtureRun =
@@ -219,6 +223,40 @@ TEST(DoctorCli, UsageErrorsExitTwo)
     EXPECT_EQ(run(doctorBin() + " --no-such-flag").first, 2);
     EXPECT_EQ(run(doctorBin() + " /no/such/file.json").first, 2);
     EXPECT_EQ(run(doctorBin() + " --compare one.json").first, 2);
+}
+
+TEST(DoctorCli, OutOfRangeTraceCoreKeyIsAUsageError)
+{
+    // A copy of the trace golden with one counter event's "c1" key
+    // mutated: an index past 2^64 and an in-range index far beyond
+    // the event's two arguments must both be refused with exit 2 and
+    // a message, not abort or size a vector by the index.
+    const std::string golden = slurp(PRISM_TRACE_GOLDEN_DEFAULT);
+    const std::size_t at = golden.find("\"c1\"");
+    ASSERT_NE(at, std::string::npos);
+    const std::string dir = tempDir();
+    const std::string path = dir + "/TRACE_mutated.json";
+    for (const char *key :
+         {"\"c99999999999999999999\"", "\"c4000000\""}) {
+        std::string mutated = golden;
+        mutated.replace(at, 4, key);
+        {
+            std::ofstream out(path, std::ios::binary);
+            out << mutated;
+        }
+        const auto [code, out] =
+            run(doctorBin() + " --trace " + path + " --quiet");
+        EXPECT_EQ(code, 2) << key << ": " << out;
+        EXPECT_NE(out.find("outside the 2 argument(s)"),
+                  std::string::npos)
+            << out;
+    }
+    EXPECT_EQ(run(doctorBin() + " --trace " +
+                  PRISM_TRACE_GOLDEN_DEFAULT + " --quiet")
+                  .first,
+              0);
+    std::remove(path.c_str());
+    std::remove(dir.c_str());
 }
 
 TEST(DoctorCli, BenchDoctorVerdictsAreThreadCountInvariant)

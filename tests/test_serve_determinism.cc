@@ -12,9 +12,12 @@
  *     over intervals predicts the per-tenant eviction totals to
  *     chi-square precision (the serving analogue of the simulator's
  *     Core-Selection validation).
- *  3. With timing on, every request lands in its tenant's latency
- *     histogram exactly once at any thread count (the per-task
- *     tallies fold without loss or double counting).
+ *  3. With timing on, the requests at the sampled positions of each
+ *     shard slice (one in kLatencySampleEvery, docs/SERVING.md) land
+ *     in their tenants' latency histograms, and every request is
+ *     counted exactly once in its tenant's request counter, at any
+ *     thread count (the per-task tallies fold without loss or double
+ *     counting).
  *  4. The committed SERVE_fixture.json pins the document itself, so
  *     a change to ghost-list membership or eviction order that shows
  *     up identically at every thread count still fails. The fixture
@@ -42,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "serve/serve_engine.hh"
 
 using namespace prism;
@@ -266,44 +270,91 @@ TEST(ServeDeterminism, SeedChangesTheRun)
     EXPECT_NE(a, b);
 }
 
-TEST(ServeLatency, EveryRequestIsTimedOnceAtEveryThreadCount)
+TEST(ServeLatency, SampledPositionsAreTimedAtEveryThreadCount)
 {
     // Whole rounds only, so every stream fills a full batch a round
-    // and the per-tenant request counts can be drawn independently.
+    // and the rounds can be replayed independently of the engine.
     constexpr std::uint64_t kRounds = 12;
     ServeConfig config = fixtureConfig();
     config.opBudget = kRounds * config.streams * config.batch;
     config.timing = true;
+    const std::size_t tenants = config.tenants.size();
 
-    std::vector<std::uint64_t> requests(config.tenants.size(), 0);
+    // Replay fill, shardOf and the round-robin partition, then count
+    // per tenant the requests at sampled positions of each slice.
+    StoreConfig store_config;
+    store_config.capacityBytes = config.capacityBytes;
+    store_config.shards = config.shards;
+    store_config.tenants = static_cast<std::uint32_t>(tenants);
+    const ShardedStore router(store_config);
     LoadGen gen(config.tenants, config.streams, config.seed);
-    std::vector<Request> batch(config.batch);
-    for (std::uint64_t round = 0; round < kRounds; ++round)
-        for (std::uint32_t s = 0; s < config.streams; ++s) {
-            gen.fill(s, batch);
-            for (const Request &req : batch)
+    std::vector<std::vector<Request>> batches(
+        config.streams, std::vector<Request>(config.batch));
+    std::vector<std::uint64_t> requests(tenants, 0);
+    std::vector<std::uint64_t> sampled(tenants, 0);
+    std::vector<std::uint32_t> offsets_seen(kLatencySampleEvery, 0);
+    for (std::uint64_t round = 0; round < kRounds; ++round) {
+        for (std::uint32_t s = 0; s < config.streams; ++s)
+            gen.fill(s, batches[s]);
+        std::vector<std::vector<std::uint32_t>> slice_tenants(
+            router.shardCount());
+        for (std::uint32_t i = 0; i < config.batch; ++i)
+            for (std::uint32_t s = 0; s < config.streams; ++s) {
+                const Request &req = batches[s][i];
+                slice_tenants[router.shardOf(req.tenant, req.key)]
+                    .push_back(req.tenant);
                 ++requests[req.tenant];
+            }
+        for (std::uint32_t k = 0; k < router.shardCount(); ++k) {
+            const std::uint32_t offset = latencySampleOffset(k, round);
+            ASSERT_LT(offset, kLatencySampleEvery);
+            ++offsets_seen[offset];
+            const auto &slice = slice_tenants[k];
+            for (std::size_t i = offset; i < slice.size();
+                 i += kLatencySampleEvery)
+                ++sampled[slice[i]];
         }
+    }
+    // The timed position is not pinned to a slice's first request.
+    EXPECT_LT(offsets_seen[0], kRounds * config.shards / 4);
 
     for (const std::uint32_t threads : {1u, 2u, 8u}) {
-        config.threads = threads;
-        ServeEngine engine(config);
-        const ServeResult result = engine.run();
+        ServeResult result;
+        JsonValue doc;
+        ASSERT_TRUE(
+            parseJson(runToJson(config, threads, &result), doc).ok());
         ASSERT_NE(result.metrics, nullptr);
-        std::uint64_t timed = 0;
-        for (std::size_t t = 0; t < config.tenants.size(); ++t) {
+        const JsonValue &timing = doc.at("timing");
+        EXPECT_EQ(timing.at("latency_sample_every").asU64(),
+                  kLatencySampleEvery);
+        std::uint64_t counted = 0;
+        for (std::size_t t = 0; t < tenants; ++t) {
+            const std::string at = "tenant " + std::to_string(t) +
+                                   " at " + std::to_string(threads) +
+                                   " thread(s)";
             const telemetry::Histogram &h = result.metrics->histogram(
                 "serve.latency_ns.t" + std::to_string(t), {});
-            EXPECT_EQ(h.count(), requests[t])
-                << "tenant " << t << " at " << threads << " thread(s)";
+            EXPECT_EQ(h.count(), sampled[t]) << at;
+            EXPECT_GT(h.count(), requests[t] / (2 * kLatencySampleEvery))
+                << at;
             std::uint64_t in_buckets = 0;
             for (std::size_t i = 0; i < h.numBuckets(); ++i)
                 in_buckets += h.bucketCount(i);
-            EXPECT_EQ(in_buckets, h.count());
-            EXPECT_GT(h.sum(), 0.0);
-            timed += h.count();
+            EXPECT_EQ(in_buckets, h.count()) << at;
+            EXPECT_GT(h.sum(), 0.0) << at;
+            EXPECT_EQ(result.metrics
+                          ->counter("serve.requests.t" +
+                                    std::to_string(t))
+                          .value(),
+                      requests[t])
+                << at;
+
+            const JsonValue &row = timing.at("latency_us").at(t);
+            EXPECT_EQ(row.at("count").asU64(), sampled[t]) << at;
+            EXPECT_EQ(row.at("requests").asU64(), requests[t]) << at;
+            counted += row.at("requests").asU64();
         }
-        EXPECT_EQ(timed, result.ops) << threads << " thread(s)";
+        EXPECT_EQ(counted, result.ops) << threads << " thread(s)";
     }
 }
 

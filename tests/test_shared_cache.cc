@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "cache/shared_cache.hh"
 #include "common/rng.hh"
 
@@ -181,4 +185,56 @@ TEST(SharedCache, RejectsBadGeometry)
     CacheConfig bad = smallConfig();
     bad.ways = 3; // 1024 blocks not divisible into power-of-two sets
     EXPECT_DEATH(SharedCache{bad}, "");
+}
+
+TEST(SharedCache, CorruptedOccupancySaturatesInsteadOfOverflowing)
+{
+    // An unchecked `occ` fault can leave a counter anywhere; the
+    // batched delta fold must clamp to [0, INT64_MAX], not overflow.
+    constexpr std::uint64_t kMax = static_cast<std::uint64_t>(
+        std::numeric_limits<std::int64_t>::max());
+    CacheConfig cfg = smallConfig(); // 1024 blocks, 256 sets x 4 ways
+    cfg.intervalMisses = 256;
+    SharedCache c(cfg);
+    c.setOccupancyFaultHook([&](std::vector<std::uint64_t> &occ,
+                                std::uint64_t, std::uint64_t interval) {
+        if (interval != 1)
+            return false;
+        occ[0] = kMax - 10; // inflated near the signed limit
+        occ[1] = 0;         // a lost counter for a resident core
+        return true;
+    });
+
+    // Interval 1: core 1 fills one block per set, then the fault.
+    for (std::uint64_t t = 0; t < 256; ++t)
+        c.access(1, addrFor(static_cast<std::uint32_t>(t), 1, 256));
+    ASSERT_EQ(c.intervals(), 1u);
+    EXPECT_EQ(c.occupancy(0), kMax - 10);
+    EXPECT_EQ(c.occupancy(1), 0u);
+
+    // Core 0 fills 3 ways of every set: +768 on an inflated counter
+    // saturates, mid-interval and across the fold.
+    for (std::uint64_t tag = 2; tag < 5; ++tag)
+        for (std::uint32_t s = 0; s < 256; ++s) {
+            c.access(0, addrFor(s, tag, 256));
+            if (s == 20 && tag == 2) {
+                EXPECT_EQ(c.occupancy(0), kMax);
+            }
+        }
+    // The fourth way evicts core 1's (least recent) blocks: -256 on a
+    // zeroed counter stops at 0 instead of wrapping.
+    for (std::uint32_t s = 0; s < 256; ++s)
+        c.access(0, addrFor(s, 5, 256));
+    EXPECT_GE(c.intervals(), 4u);
+    EXPECT_EQ(c.occupancy(0), kMax);
+    EXPECT_EQ(c.occupancy(1), 0u);
+
+    EXPECT_EQ(SharedCache::addOccupancyDelta(kMax - 1, 5), kMax);
+    EXPECT_EQ(SharedCache::addOccupancyDelta(~std::uint64_t{0}, -1),
+              kMax - 1);
+    EXPECT_EQ(SharedCache::addOccupancyDelta(3, -5), 0u);
+    EXPECT_EQ(SharedCache::addOccupancyDelta(3, 4), 7u);
+    EXPECT_EQ(SharedCache::addOccupancyDelta(
+                  0, std::numeric_limits<std::int64_t>::min()),
+              0u);
 }

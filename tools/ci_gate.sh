@@ -50,9 +50,10 @@ trap 'rm -rf "$out" "$hot_out"' EXIT
 "$build/tools/prism_doctor" \
     --compare "$repo/tests/golden/BENCH_hotpath.json" \
     "$hot_out/BENCH_hotpath.json" --tolerance "$tolerance"
-# Timed half: accesses/sec on the 32-core mix vs the recorded seed
-# baseline and the O(1)-sampler draws/sec A/B, thresholds from
-# bench/micro_baseline.hh. The bench exits non-zero on regression.
+# Timed half: two same-binary A/Bs, SoA cache accesses/sec vs the
+# AoS reference model and O(1)-sampler draws/sec vs the inverse-CDF
+# walk, thresholds from bench/micro_common.hh. The bench exits
+# non-zero on regression.
 "$build/bench/bench_micro_hotpath" --out "$hot_out" --gate \
     >/dev/null
 

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
 #include "common/cli.hh"
 #include "common/stop_signal.hh"
 #include "figures.hh"
@@ -209,6 +210,12 @@ main(int argc, char **argv)
         } else {
             ids.push_back(arg);
         }
+    }
+
+    {
+        double scale = 1.0;
+        unsigned cap = 0;
+        check(benchEnvironment(scale, cap));
     }
 
     if (run_all) {
